@@ -3,7 +3,9 @@
 Subcommands: ``count``, ``table``, ``blocks``, ``invseq``, ``sample``,
 ``chain``, ``rho``, ``params``, ``census``.  Census exit codes: 0 all
 statistical assertions passed, 1 a statistical assertion failed, 2
-configuration error.
+configuration error.  ``count --table`` exits with 2 on an unreadable
+cache, and ``chain`` with 2 for n above ``CHAIN_MAX_N``, before it builds
+its count table.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .permutations import (
 from .rng import SamplerContext
 from .sampling import SplitSampler, sample_inversion_sequence
 
+# ``chain`` builds the full count table, about n^3/6 big integers
+CHAIN_MAX_N = 150
+
 
 def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.replace(",", " ").split()]
@@ -40,7 +45,11 @@ def _parse_ints(text: str) -> list[int]:
 
 def _cmd_count(args) -> int:
     if args.table:
-        table = counting.load_table(args.table)
+        try:
+            table = counting.load_table(args.table)
+        except (ValueError, OSError) as exc:
+            print(f"cannot read table cache: {exc}", file=sys.stderr)
+            return 2
         if not table.covers(args.n, min(args.m, counting.max_inversions(args.n))):
             print("cache does not cover the request", file=sys.stderr)
             return 2
@@ -111,6 +120,9 @@ def _emit_sample(x: list[int], fmt: str) -> None:
 
 
 def _cmd_chain(args) -> int:
+    if not 1 <= args.n <= CHAIN_MAX_N:
+        print(f"--n must lie in 1..{CHAIN_MAX_N}", file=sys.stderr)
+        return 2
     top = counting.max_inversions(args.n)
     if not 0 <= args.to <= top:
         print(f"--to must lie in 0..{top}", file=sys.stderr)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 
 _MAGIC = b"IVTB"
 _FORMAT_VERSION = 1
@@ -63,9 +64,11 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     """Fill the count table for all n <= max_n by the one-row recurrence.
 
     s(n, m) = sum of s(n-1, m-i) over i = 0..n-1, evaluated with a sliding
-    window, s(n, m) = s(n, m-1) + s(n-1, m) - s(n-1, m-n), so each cell
-    costs O(1) big-integer additions.  ``m_cap`` truncates every row at
-    that column (the recurrence never looks right of the cap).
+    window, s(n, m) = s(n, m-1) + s(n-1, m) - s(n-1, m-n): a row is the
+    running sum of s(n-1, m) - s(n-1, m-n), so each cell costs O(1)
+    big-integer additions, done in ``itertools`` rather than a Python
+    loop.  ``m_cap`` truncates every row at that column (the recurrence
+    never looks right of the cap).
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -77,15 +80,8 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
         width = max_inversions(n)
         if m_cap is not None:
             width = min(width, m_cap)
-        row = [1] * (width + 1)
-        for m in range(1, width + 1):
-            acc = row[m - 1]
-            if m < len(prev):
-                acc += prev[m]
-            if m - n >= 0 and m - n < len(prev):
-                acc -= prev[m - n]
-            row[m] = acc
-        rows.append(row)
+        diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
+        rows.append(list(accumulate(islice(diffs, width + 1))))
     return InversionTable(rows, m_cap=m_cap)
 
 
@@ -135,11 +131,6 @@ def mahonian_polynomial(n: int) -> list[int]:
     return coeffs
 
 
-def row_checksums(table: InversionTable, n: int) -> tuple[int, int]:
-    """(row sum, expected n!) for a quick integrity check."""
-    return sum(table.row(n)), factorial(n)
-
-
 def save_table(table: InversionTable, path: str) -> None:
     """Write a versioned binary cache of the table.
 
@@ -161,21 +152,30 @@ def save_table(table: InversionTable, path: str) -> None:
 
 
 def load_table(path: str) -> InversionTable:
-    """Read a cache produced by :func:`save_table`, validating the header."""
+    """Read a cache produced by :func:`save_table`, validating the header.
+
+    A malformed or truncated cache raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not an inversion-table cache (magic {magic!r})")
-        version, max_n, cap = struct.unpack("<IIQ", fh.read(16))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format version {version}")
-        rows = []
-        for _ in range(max_n + 1):
-            (nentries,) = struct.unpack("<Q", fh.read(8))
-            row = []
-            for _ in range(nentries):
-                (nbytes,) = struct.unpack("<Q", fh.read(8))
-                row.append(int.from_bytes(fh.read(nbytes), "little"))
-            rows.append(row)
+        try:
+            version, max_n, cap = struct.unpack("<IIQ", fh.read(16))
+            if version != _FORMAT_VERSION:
+                raise ValueError(f"unsupported cache format version {version}")
+            rows = []
+            for _ in range(max_n + 1):
+                (nentries,) = struct.unpack("<Q", fh.read(8))
+                row = []
+                for _ in range(nentries):
+                    (nbytes,) = struct.unpack("<Q", fh.read(8))
+                    blob = fh.read(nbytes)
+                    if len(blob) != nbytes:
+                        raise ValueError("truncated inversion-table cache")
+                    row.append(int.from_bytes(blob, "little"))
+                rows.append(row)
+        except struct.error as exc:
+            raise ValueError(f"truncated inversion-table cache ({exc})") from None
     m_cap = None if cap == (1 << 64) - 1 else cap
     return InversionTable(rows, m_cap=m_cap)

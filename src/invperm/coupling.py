@@ -15,15 +15,44 @@ is exactly the condition for a uniform state at m to stay uniform at m+1.
 Budgets at or above half the maximum are realized through the transpose
 of the mirrored matrix (the reflection x_i -> (i-1) - x_i swaps the two).
 
-Everything here is exact rational arithmetic; randomness enters only at
-the final Bernoulli/categorical draw, performed exactly.
+Telescoping the recursion gives beta in closed form.  With S = s(n,m+1),
+s = s(n,m), d_i = s(n-1,m+1-i) and D_k = d_0 + ... + d_{k-1},
+
+    beta_k = [S (d_k - d_0 + D_k) - s D_k] / (S d_k),
+
+with beta_k = 1 where d_k = 0 and beta_k = 0 for k > min(n-1, m+1).  D_k
+is a window sum of row n-1; every count here is read in O(1) from
+prefix-summed rows n and n-1, so a beta is an integer pair (numerator,
+denominator) from a few big-integer products.
+
+A step is one top-down walk over the levels L = n, n-1, ..., 2 with a
+budget b and an orientation.  Forward, the walk adds a ball to x[:L];
+flipped, it removes one from the mirror of x[:L] (a predecessor of the
+mirrored prefix, weighted by its column of rho), which un-mirrors to the
+same added ball.  Where 2b >= C(L,2) the budget is replaced by
+C(L,2)-1-b and the orientation flips.  Then the walk stops at coordinate
+L-1 with probability
+
+    forward:  beta_{x_L + 1}(L, b),
+    flipped:  beta_i(L, b) * s(L,b+1)/s(L,b),    i = (L-1) - x_L,
+
+and otherwise subtracts x_L (or i) from b and moves down one level.  The
+flipped stop probability is exact because every column of rho(L, b) sums
+to s(L,b)/s(L,b+1).  Divided by that sum, a column is the law of the
+predecessor: the last coordinate loses its ball with probability
+beta_i s(L,b+1)/s(L,b), and otherwise the levels below follow a column of
+rho(L-1, b-i), scaled by 1 - beta_{i+1}; that the two parts add to 1 is
+the beta equation itself.  Each level costs one exact integer Bernoulli
+draw; no Fraction is built on this path.  ``rho_entry``,
+``materialize_rho`` and ``symbolic_chain_distributions`` are the exact
+rational oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .counting import InversionTable, max_inversions
 from .rng import SamplerContext
@@ -47,91 +76,56 @@ class BetaEntry:
     values: tuple[Fraction, ...] | None
 
 
-class _BetaSolver:
-    """Lazy forward solution of the beta system for one direct (n, m)."""
-
-    def __init__(self, n: int, m: int, table: InversionTable):
-        self.n = n
-        self.m = m
-        self.table = table
-        cp = max_inversions(n - 1)
-        self.r = min(n - 1, m + 1)
-        self.gamma = Fraction(table.count(n, m), table.count(n, m + 1))
-        # column blocks y_n = k-1 with k < k0 are empty; the row block
-        # x_n = k0-2 (if any) holds a maximal prefix and must move up
-        self.k0 = max(1, m + 2 - cp)
-        self.vals: list[Fraction] = [Fraction(1)] * (self.k0 - 1)
-
-    def get(self, i: int) -> Fraction:
-        """beta_i, extending the forward recursion as needed."""
-        if i > self.r:
-            return Fraction(0)
-        while len(self.vals) < i:
-            k = len(self.vals) + 1
-            prev = self.vals[-1] if self.vals else Fraction(0)
-            gk = Fraction(
-                self.table.count(self.n - 1, self.m - k + 1),
-                self.table.count(self.n - 1, self.m - k + 2),
-            )
-            beta = 1 + (prev - self.gamma) / gk
-            if not 0 <= beta <= 1:
-                raise BetaSolveError(
-                    f"beta_{k}({self.n},{self.m}) = {beta} outside [0,1]"
-                )
-            self.vals.append(beta)
-        return self.vals[i - 1]
-
-    def full(self) -> tuple[Fraction, ...]:
-        """All beta_1..beta_r plus the surplus-equation verification."""
-        vals = tuple(self.get(i) for i in range(1, self.r + 1))
-        if self.m >= self.n - 1:
-            g_last = Fraction(
-                self.table.count(self.n - 1, self.m - self.n + 1),
-                self.table.count(self.n - 1, self.m - self.n + 2),
-            )
-            if vals[-1] + g_last != self.gamma:
-                raise BetaSolveError(
-                    f"surplus equation fails at ({self.n},{self.m})"
-                )
-        elif vals[self.m] != self.gamma:
-            raise BetaSolveError(
-                f"beta_{self.m + 1}({self.n},{self.m}) != gamma"
-            )
-        return vals
-
-
 class BetaTable:
-    """Memoized beta systems over a shared count table.
+    """Closed-form betas over a shared count table.
 
-    Append-only: safe for concurrent readers with per-thread instances.
+    Holds one prefix-summed count row per level, extended on demand; the
+    table itself is not modified.  Safe for concurrent readers with
+    per-thread instances.
     """
 
     def __init__(self, table: InversionTable):
         self.table = table
-        self._solvers: dict[tuple[int, int], _BetaSolver] = {}
+        self._prefix_rows: dict[int, list[int]] = {}
 
-    def _solver(self, n: int, m: int) -> _BetaSolver:
-        key = (n, m)
-        solver = self._solvers.get(key)
-        if solver is None:
-            if 2 * m >= max_inversions(n):
-                raise ValueError(f"budget {m} of level {n} must be reflected")
-            solver = _BetaSolver(n, m, self.table)
-            self._solvers[key] = solver
-        return solver
+    def _prefix(self, n: int, j: int) -> list[int]:
+        """Running sums P of row n, P[k] = s(n, 0) + ... + s(n, k-1), for
+        at least k <= j."""
+        prefix = self._prefix_rows.setdefault(n, [0])
+        while len(prefix) <= j:
+            prefix.append(prefix[-1] + self.table.count(n, len(prefix) - 1))
+        return prefix
 
     def entry(self, n: int, m: int) -> BetaEntry:
         if n < 2 or not 0 <= m <= max_inversions(n) - 1:
             raise ValueError(f"no transition matrix for (n={n}, m={m})")
         if 2 * m >= max_inversions(n):
             return BetaEntry(n, m, True, max_inversions(n) - 1 - m, None)
-        return BetaEntry(n, m, False, None, self._solver(n, m).full())
+        values = tuple(
+            Fraction(*self.beta(n, m, i)) for i in range(1, min(n - 1, m + 1) + 1)
+        )
+        return BetaEntry(n, m, False, None, values)
 
-    def beta(self, n: int, m: int, i: int) -> Fraction:
-        """beta_i(n, m) for a direct budget, with beta_n = 0."""
-        if i >= n:
-            return Fraction(0)
-        return self._solver(n, m).get(i)
+    def beta(self, n: int, m: int, i: int) -> tuple[int, int]:
+        """beta_i(n, m) as (numerator, denominator) for a direct budget;
+        0 outside 1..min(n-1, m+1)."""
+        if 2 * m >= max_inversions(n):
+            raise ValueError(f"budget {m} of level {n} must be reflected")
+        if i <= 0 or i > min(n - 1, m + 1):
+            return 0, 1
+        below = self._prefix(n - 1, m + 2)
+        d_i = below[m + 2 - i] - below[m + 1 - i]
+        if d_i == 0:
+            return 1, 1
+        here = self._prefix(n, m + 2)
+        big, small = here[m + 2] - here[m + 1], here[m + 1] - here[m]
+        d_0 = below[m + 2] - below[m + 1]
+        window = below[m + 2] - below[m + 2 - i]  # D_i
+        num = big * (d_i - d_0 + window) - small * window
+        den = big * d_i
+        if not 0 <= num <= den:
+            raise BetaSolveError(f"beta_{i}({n},{m}) = {num}/{den} outside [0,1]")
+        return num, den
 
 
 def solve_betas(n: int, m: int, table: InversionTable) -> BetaEntry:
@@ -157,14 +151,14 @@ def rho_entry(
         return rho_entry(n, mt, reflect_sequence(y), reflect_sequence(x), betas) * scale
     j, i = x[n - 1], y[n - 1]
     if i == j + 1 and tuple(x[: n - 1]) == tuple(y[: n - 1]):
-        return betas.beta(n, m, i)
+        return Fraction(*betas.beta(n, m, i))
     if i == j:
         # a maximal prefix has no outgoing sub-transitions
         if n - 1 < 2 or m - j >= max_inversions(n - 1):
             return Fraction(0)
         sub = rho_entry(n - 1, m - j, x[: n - 1], y[: n - 1], betas)
         if sub:
-            return (1 - betas.beta(n, m, j + 1)) * sub
+            return (1 - Fraction(*betas.beta(n, m, j + 1))) * sub
         return Fraction(0)
     return Fraction(0)
 
@@ -203,12 +197,6 @@ class RhoMatrix:
 
     def entry(self, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
         return self.entries.get((x, y), Fraction(0))
-
-    def row_sum(self, x: tuple[int, ...]) -> Fraction:
-        return sum((v for (a, _), v in self.entries.items() if a == x), Fraction(0))
-
-    def col_sum(self, y: tuple[int, ...]) -> Fraction:
-        return sum((v for (_, b), v in self.entries.items() if b == y), Fraction(0))
 
     def dense(self) -> list[list[Fraction]]:
         return [[self.entry(x, y) for y in self.cols] for x in self.rows]
@@ -249,54 +237,45 @@ def initial_state(n: int) -> ChainState:
     return ChainState((0,) * n, 0)
 
 
+def step_stops(
+    x: Sequence[int], t: int, betas: BetaTable
+) -> Iterator[tuple[int, int, int]]:
+    """The top-down walk of one step from x (sum t < C(n,2)).
+
+    Yields (coordinate, num, den) per level: the ball lands in that
+    0-based coordinate with probability num/den, given that it passed
+    every level above.  The last level reached has probability 1.
+    """
+    count = betas.table.count
+    budget = t
+    flipped = False
+    for level in range(len(x), 1, -1):
+        total = max_inversions(level)
+        if 2 * budget >= total:
+            budget = total - 1 - budget
+            flipped = not flipped
+        if flipped:
+            i = level - 1 - x[level - 1]
+            num, den = betas.beta(level, budget, i)
+            yield level - 1, num * count(level, budget + 1), den * count(level, budget)
+        else:
+            i = x[level - 1]
+            yield (level - 1, *betas.beta(level, budget, i + 1))
+        budget -= i
+
+
 def chain_step(
     state: ChainState, betas: BetaTable, ctx: SamplerContext
 ) -> tuple[ChainState, int]:
     """One ball throw; returns the new state and the box index (1-based)."""
-    n = state.n
-    if state.t >= max_inversions(n):
+    if state.t >= max_inversions(state.n):
         raise ValueError("chain is already at the maximal state")
-    x = list(state.x)
-    k = _advance(x, n, state.t, betas, ctx)
-    return ChainState(tuple(x), state.t + 1), k + 1
-
-
-def _advance(
-    x: list[int], level: int, budget: int, betas: BetaTable, ctx: SamplerContext
-) -> int:
-    """Increment one coordinate of x[:level] per rho(level, budget)."""
-    while True:
-        total = max_inversions(level)
-        if 2 * budget >= total:
-            return _advance_reflected(x, level, budget, betas, ctx)
-        j = x[level - 1]
-        if ctx.bernoulli_fraction(betas.beta(level, budget, j + 1)):
-            x[level - 1] += 1
-            return level - 1
-        budget -= j
-        level -= 1
-
-
-def _advance_reflected(
-    x: list[int], level: int, budget: int, betas: BetaTable, ctx: SamplerContext
-) -> int:
-    """Transition via the transpose of the mirrored matrix.
-
-    Mirroring the current prefix gives a sum of mt+1; its predecessors
-    under rho(level, mt), weighted by the matrix column, give exactly the
-    transpose transition, and un-mirroring turns the removed ball back
-    into an added one.
-    """
-    mt = max_inversions(level) - 1 - budget
-    mirrored = reflect_sequence(x[:level])
-    candidates = [k for k in range(level) if mirrored[k] >= 1]
-    weights = []
-    for k in candidates:
-        pred = mirrored[:k] + [mirrored[k] - 1] + mirrored[k + 1 :]
-        weights.append(rho_entry(level, mt, pred, mirrored, betas))
-    pick = candidates[ctx.categorical_fractions(weights)]
-    x[pick] += 1
-    return pick
+    for k, num, den in step_stops(state.x, state.t, betas):
+        if ctx.bernoulli_fraction(num, den):
+            x = list(state.x)
+            x[k] += 1
+            return ChainState(tuple(x), state.t + 1), k + 1
+    raise BetaSolveError(f"no level took the ball from {state.x}")
 
 
 def run_chain(

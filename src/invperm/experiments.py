@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -83,6 +84,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.parallelism <= cpus:
+            raise ValueError(f"parallelism must lie in 1..{cpus} (the CPU count)")
         if self.mode == "monotonicity":
             if self.n_max > 9:
                 raise ValueError("monotonicity mode is exhaustive; n_max <= 9")

@@ -5,14 +5,12 @@ derived from ``SeedSequence(seed, spawn_key=stream)``, so any number of
 trials can run in parallel with independent, replayable streams.  All
 discrete decisions that must be exactly unbiased go through
 ``uniform_below`` (rejection on masked bits) or ``bernoulli_fraction``
-(64-bit refinement against an exact rational), never through floats.
+(64-bit refinement against an exact integer ratio), never through floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -60,25 +58,28 @@ class SamplerContext:
             if v < n:
                 return v
 
-    def bernoulli_fraction(self, p: Fraction) -> bool:
-        """Exact Bernoulli(p) for a rational p in [0, 1].
+    def bernoulli_fraction(self, num: int, den: int) -> bool:
+        """Exact Bernoulli(num/den) for integers 0 <= num <= den, den >= 1.
 
         Compares a progressively refined uniform 64-bit fixed-point value
-        against p; each refinement resolves except with probability 2^-64.
+        against num/den; each refinement resolves except with probability
+        2^-64.  The decisions depend only on the ratio: (k*num, k*den)
+        decides as (num, den) does on the same stream.
         """
-        num, den = p.numerator, p.denominator
-        if num <= 0:
-            if num < 0:
-                raise ValueError("probability below 0")
+        if den <= 0:
+            raise ValueError(f"bernoulli_fraction needs den >= 1, got {den}")
+        if not 0 <= num <= den:
+            raise ValueError(f"probability {num}/{den} outside [0, 1]")
+        if num == 0:
             return False
-        if num >= den:
-            if num > den:
-                raise ValueError("probability above 1")
+        if num == den:
             return True
-        gen = self.generator
+        # one raw 64-bit output: the same value, from the same stream
+        # position, as integers(0, 2**64, dtype=uint64), at a fraction of
+        # its cost
+        draw = self.generator.bit_generator.random_raw
         while True:
-            u = int(gen.integers(0, 1 << 64, dtype=np.uint64))
-            lhs = u * den
+            lhs = draw() * den
             rhs = num << 64
             if lhs + den <= rhs:
                 return True
@@ -87,7 +88,11 @@ class SamplerContext:
             num = rhs - lhs  # remaining fractional comparison, still < den
 
     def categorical_weights(self, weights: Sequence[int]) -> int:
-        """Index drawn proportionally to exact integer weights."""
+        """Index drawn proportionally to exact integer weights.
+
+        No package code calls it; it stays a public draw, and the
+        ``perfbench`` tracer counts its calls by this name.
+        """
         total = sum(weights)
         u = self.uniform_below(total)
         for i, w in enumerate(weights):
@@ -95,9 +100,3 @@ class SamplerContext:
                 return i
             u -= w
         raise AssertionError("weights exhausted")  # pragma: no cover
-
-    def categorical_fractions(self, weights: Sequence[Fraction]) -> int:
-        """Index drawn proportionally to exact rational weights."""
-        den = lcm(*(w.denominator for w in weights))
-        scaled = [int(w * den) for w in weights]
-        return self.categorical_weights(scaled)

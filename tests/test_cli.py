@@ -29,6 +29,17 @@ def test_count_and_table_cache(tmp_path, capsys):
     assert code == 2 and "cover" in err
 
 
+def test_count_rejects_truncated_cache(tmp_path, capsys):
+    cache = tmp_path / "t.bin"
+    code, _, _ = run_cli(capsys, "table", "--max-n", "10", "--out", str(cache))
+    assert code == 0
+    cache.write_bytes(cache.read_bytes()[:-5])
+    code, out, err = run_cli(capsys, "count", "10", "20", "--table", str(cache))
+    assert code == 2 and out == "" and "truncated" in err
+    code, _, err = run_cli(capsys, "count", "4", "2", "--table", str(tmp_path / "no"))
+    assert code == 2 and "cannot read" in err
+
+
 def test_blocks_json(capsys):
     code, out, _ = run_cli(capsys, "blocks", "--perm", "2,4,1,3,5,8,6,7")
     assert code == 0
@@ -83,6 +94,19 @@ def test_chain_trace(capsys):
     assert sum(final) == 4
     code, _, err = run_cli(capsys, "chain", "--n", "4", "--to", "99")
     assert code == 2
+
+
+def test_chain_refuses_oversize_n_before_building(capsys, monkeypatch):
+    from invperm import cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a refused request")
+
+    monkeypatch.setattr(cli.counting, "build_table", no_table)
+    for n in (cli.CHAIN_MAX_N + 1, 10**6, 0):
+        code, out, err = run_cli(capsys, "chain", "--n", str(n), "--to", "3")
+        assert code == 2 and out == ""
+        assert f"1..{cli.CHAIN_MAX_N}" in err
 
 
 def test_rho_output_and_guard(capsys):

@@ -117,6 +117,17 @@ def test_cache_rejects_garbage(tmp_path):
         load_table(str(path))
 
 
+def test_cache_rejects_truncation(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(build_table(9), str(path))
+    data = path.read_bytes()
+    # inside the header, inside an entry length, inside the last integer
+    for cut in (10, 30, len(data) // 2, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            load_table(str(path))
+
+
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         build_table(0)

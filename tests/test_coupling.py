@@ -14,6 +14,7 @@ from invperm.coupling import (
     rho_entry,
     run_chain,
     solve_betas,
+    step_stops,
     symbolic_chain_distributions,
 )
 from invperm.permutations import decomposition_points
@@ -65,6 +66,66 @@ def test_beta_system_holds_exactly(n):
             assert 0 <= b <= 1
         if m <= n - 2:
             assert entry.values[m] == gamma
+
+
+def _recurrence_betas(n, m, table):
+    """beta_1..beta_n(n, m) by the forward recurrence in Fractions:
+    beta = 1 while the prefix below is forced to be maximal, then
+    beta_k = 1 + (beta_{k-1} - gamma) / gamma_{k-1}, and 0 past
+    min(n-1, m+1)."""
+    gamma = F(table.count(n, m), table.count(n, m + 1))
+    forced = m + 1 - max_inversions(n - 1)
+    values = []
+    for k in range(1, min(n - 1, m + 1) + 1):
+        if k <= forced:
+            values.append(F(1))
+            continue
+        prev = values[-1] if values else F(0)
+        gk = F(table.count(n - 1, m - k + 1), table.count(n - 1, m - k + 2))
+        values.append(1 + (prev - gamma) / gk)
+    return values + [F(0)] * (n - len(values))
+
+
+def test_closed_form_matches_recurrence():
+    """Every beta of every direct budget with n <= 25, against the
+    Fraction recurrence."""
+    table = build_table(25)
+    bt = BetaTable(table)
+    checked = 0
+    for n in range(2, 26):
+        for m in range((max_inversions(n) + 1) // 2):
+            expected = _recurrence_betas(n, m, table)
+            got = [F(*bt.beta(n, m, k)) for k in range(1, n + 1)]
+            assert got == expected, (n, m)
+            checked += len(got)
+    assert checked == 25_100
+
+
+def test_beta_rejects_reflected_budget():
+    with pytest.raises(ValueError):
+        BT.beta(4, 3, 1)
+    assert BT.beta(4, 2, 0) == (0, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_step_walk_multiplies_out_to_rho(n):
+    """The stop probabilities of the walk that chain_step runs, multiplied
+    out level by level, equal rho_entry on every (state, budget) row."""
+    for m in range(max_inversions(n)):
+        for x in enumerate_inversion_sequences(n, m):
+            passed, lands = F(1), {}
+            for k, num, den in step_stops(x, m, BT):
+                p = F(num, den)
+                assert 0 <= p <= 1
+                lands[k] = passed * p
+                passed *= 1 - p
+                if passed == 0:
+                    break
+            assert passed == 0
+            for k in range(n):
+                y = x[:k] + (x[k] + 1,) + x[k + 1 :]
+                exact = rho_entry(n, m, x, y, BT) if x[k] < k else 0
+                assert lands.get(k, 0) == exact, (x, k)
 
 
 def test_rho_3_matches_displayed_matrices():
@@ -237,9 +298,8 @@ def test_trace_records_boxes():
 def test_trajectory_decomposition_points_shrink():
     """Covering couples consecutive budgets: each added ball can only
     destroy decomposition points, never create them.  Runs several
-    thousand steps across sizes up to n = 100 (the exact-rational chain
-    makes the spec-suggested 1e5 steps unaffordable here; the property is
-    per-step and size-independent)."""
+    thousand steps across sizes up to n = 100, fewer than the
+    spec-suggested 1e5; the property is per-step and size-independent."""
     cap = build_table(100, m_cap=900)
     bt = BetaTable(cap)
     steps = 0

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,21 @@ def test_config_validation_errors():
         ExperimentConfig(n=2, mode="components", mu_list=[0.0]).validate()
 
 
+def test_config_validation_bounds_parallelism():
+    """Checked by validate() alone; no worker process is started."""
+    cpus = os.cpu_count() or 1
+    for bad in (0, -1, cpus + 1, 10**6):
+        cfg = ExperimentConfig(
+            n=100, mode="components", mu_list=[0.0], parallelism=bad
+        )
+        with pytest.raises(ValueError, match="parallelism"):
+            cfg.validate()
+    for good in (1, cpus):
+        ExperimentConfig(
+            n=100, mode="components", mu_list=[0.0], parallelism=good
+        ).validate()
+
+
 def test_report_files_written(tmp_path):
     cfg = _component_cfg(n=80, trials=40, mu_list=[0.0], out_dir=str(tmp_path))
     run_component_census(cfg)
@@ -196,8 +212,8 @@ def test_report_files_written(tmp_path):
 def test_chain_and_sampler_censuses_agree():
     """Cross-module coherence: the ball-throwing chain, the table
     sampler, and the split sampler must induce the same block-count law.
-    Scaled down from the n=1000/10^4-trial setting to keep exact-rational
-    chain runs affordable; the statistical content is unchanged."""
+    Scaled down from the n=1000/10^4-trial setting, which is tens of
+    millions of chain steps; the statistical content is unchanged."""
     from invperm.sampling import sample_inversion_sequence
 
     n = 120
