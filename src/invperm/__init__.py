@@ -9,7 +9,6 @@ laws.
 from .counting import (
     InversionTable,
     build_table,
-    count,
     load_table,
     mahonian_polynomial,
     max_inversions,

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``count``, ``table``, ``blocks``, ``invseq``, ``sample``,
-``chain``, ``rho``, ``params``, ``census``.  Census exit codes: 0 all
-statistical assertions passed, 1 a statistical assertion failed, 2
-configuration error.  ``count --table`` exits with 2 on an unreadable
-cache, and ``chain`` with 2 for n above ``CHAIN_MAX_N``, before it builds
-its count table.
+``chain``, ``rho``, ``params``, ``census``.  Every subcommand exits with 2
+on bad input: :func:`main` turns a ``ValueError`` into one
+``invperm <command>: <message>`` line on stderr.  ``count --table`` also
+exits with 2 on an unreadable cache, and ``chain`` for n above
+``CHAIN_MAX_N``, before it builds its count table.  Census exits with 1
+when a statistical assertion fails.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .permutations import (
     inversion_sequence,
     parse_one_line,
     permutation_from_inversion_sequence,
-    validate_inversion_sequence,
 )
 from .rng import SamplerContext
 from .sampling import SplitSampler, sample_inversion_sequence
@@ -86,7 +86,6 @@ def _cmd_invseq(args) -> int:
         print(",".join(str(v) for v in inversion_sequence(perm)))
     else:
         x = _parse_ints(args.to_perm)
-        validate_inversion_sequence(x)
         print(format_one_line(permutation_from_inversion_sequence(x)))
     return 0
 
@@ -94,8 +93,7 @@ def _cmd_invseq(args) -> int:
 def _cmd_sample(args) -> int:
     top = counting.max_inversions(args.n)
     if not 0 <= args.m <= top:
-        print(f"m must lie in 0..{top}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--m must lie in 0..{top}")
     small = args.n * (min(args.m, top - args.m) + 1) <= 2_000_000
     if small:
         table = counting.build_table(args.n, m_cap=min(args.m, top - args.m))
@@ -121,12 +119,7 @@ def _emit_sample(x: list[int], fmt: str) -> None:
 
 def _cmd_chain(args) -> int:
     if not 1 <= args.n <= CHAIN_MAX_N:
-        print(f"--n must lie in 1..{CHAIN_MAX_N}", file=sys.stderr)
-        return 2
-    top = counting.max_inversions(args.n)
-    if not 0 <= args.to <= top:
-        print(f"--to must lie in 0..{top}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n must lie in 1..{CHAIN_MAX_N}")
     table = counting.build_table(args.n)
     ctx = SamplerContext(table, args.seed, (0,))
     trace: list[int] | None = [] if args.trace else None
@@ -140,8 +133,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_rho(args) -> int:
     if args.n > 8:
-        print("rho printing is limited to n <= 8", file=sys.stderr)
-        return 2
+        raise ValueError("rho printing is limited to n <= 8")
     table = counting.build_table(args.n)
     rho = materialize_rho(args.n, args.m, BetaTable(table))
     labels = ["".join(map(str, y)) for y in rho.cols]
@@ -154,8 +146,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_params(args) -> int:
     if args.m is None and args.mu is None:
-        print("need --m or --mu", file=sys.stderr)
-        return 2
+        raise ValueError("need --m or --mu")
     m = args.m
     if m is None:
         _, m = alpha_for_mu(args.n, args.mu)
@@ -298,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"invperm {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

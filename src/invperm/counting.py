@@ -85,11 +85,6 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     return InversionTable(rows, m_cap=m_cap)
 
 
-def count(table: InversionTable, n: int, m: int) -> int:
-    """Lookup s(n, m) with the zero-outside-range convention."""
-    return table.count(n, m)
-
-
 def expected_cuts(table: InversionTable, n: int, m: int) -> Fraction:
     """Exact E[C - 1] over permutations of [n] with m inversions.
 

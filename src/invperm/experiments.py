@@ -65,7 +65,6 @@ class ExperimentConfig:
     mu_list: list[float] | None = None
     m_list: list[int] | None = None
     parallelism: int = 1
-    head_size: int | None = None
     out_dir: str | None = None
     n_max: int = 8  # monotonicity mode only
 
@@ -138,8 +137,8 @@ def tv_distance(hist, lam: float) -> float:
 _WORKER: dict = {}
 
 
-def _worker_init(n: int, m: int, head_size: int | None, seed: int, key: int) -> None:
-    _WORKER["sampler"] = SplitSampler(n, m, head_size=head_size)
+def _worker_init(n: int, m: int, seed: int, key: int) -> None:
+    _WORKER["sampler"] = SplitSampler(n, m)
     _WORKER["seed"] = seed
     _WORKER["key"] = key
 
@@ -175,13 +174,13 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int, chunk_fn):
     for lo in range(0, cfg.trials, step):
         ranges.append((lo, min(cfg.trials, lo + step)))
     if cfg.parallelism <= 1:
-        _worker_init(cfg.n, m, cfg.head_size, cfg.seed, key)
+        _worker_init(cfg.n, m, cfg.seed, key)
         chunks = [chunk_fn(r) for r in ranges]
     else:
         with ProcessPoolExecutor(
             max_workers=cfg.parallelism,
             initializer=_worker_init,
-            initargs=(cfg.n, m, cfg.head_size, cfg.seed, key),
+            initargs=(cfg.n, m, cfg.seed, key),
         ) as pool:
             chunks = list(pool.map(chunk_fn, ranges))
     out = []
@@ -518,8 +517,6 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
 def _maybe_write(cfg: ExperimentConfig, report, name: str) -> None:
     if cfg.out_dir is None:
         return
-    import os
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{name}_n{cfg.n}_seed{cfg.seed}.json")
     with open(path, "w") as fh:

@@ -15,13 +15,11 @@ Monte Carlo censuses: see :func:`finite_n_cut_law`.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.ndimage import minimum_filter1d
 from scipy.optimize import brentq
 
 from .counting import max_inversions
@@ -55,14 +53,6 @@ def euler_h(q: float, tol: float = 1e-12) -> float:
         power *= q
         prod *= 1.0 - power
     return prod
-
-
-def euler_h_highprec(q, dps: int = 50):
-    """Euler product in arbitrary precision (mpmath), for regression anchors."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        return mpmath.qp(mpmath.mpf(q))
 
 
 @dataclass(frozen=True)
@@ -397,8 +387,12 @@ def marked_points(y: Sequence[int], nu: int) -> list[int]:
     """Positions i in [len-2*nu] with y_{i+t} <= t-1 for all t in [nu].
 
     These are the cuts detectable from a length-nu window alone; every
-    decomposition point at most len-2*nu is also marked.  Single pass via
-    a sliding-window minimum of t - 1 - y_t.
+    decomposition point at most len-2*nu is also marked.  i is marked iff
+    the minimum of slack[k] = k - y[k] (0-based k) over the window
+    [i, i+nu-1] is at least i.  Window minima come from prefix and suffix
+    minima within aligned blocks of nu (van Herk 1992; Gil and Werman
+    1993): a window is the suffix of one block plus the prefix of the
+    next, so the pass is O(len).
     """
     length = len(y)
     if nu < 1:
@@ -408,25 +402,14 @@ def marked_points(y: Sequence[int], nu: int) -> list[int]:
     limit = length - 2 * nu
     if limit < 1:
         return []
-    # i is marked iff min over 0-based positions k in [i, i+nu-1] of
-    # slack[k] = k - y[k] is at least i
-    if isinstance(y, np.ndarray):
-        slack = np.arange(length, dtype=np.int64) - np.asarray(y, dtype=np.int64)
-        filt = minimum_filter1d(slack, size=nu, mode="nearest")
-        # filt[j] = min(slack[j - nu//2 .. j - nu//2 + nu - 1])
-        idx = np.arange(1, limit + 1)
-        return idx[filt[idx + nu // 2] >= idx].tolist()
-    slack = [k - y[k] for k in range(length)]
-    out = []
-    window: deque[int] = deque()  # indices with increasing slack
-    for k in range(1, length):
-        while window and slack[window[-1]] >= slack[k]:
-            window.pop()
-        window.append(k)
-        i = k - nu + 1  # candidate cut whose window ends at k
-        if i >= 1:
-            while window[0] < i:
-                window.popleft()
-            if i <= limit and slack[window[0]] >= i:
-                out.append(i)
-    return out
+    # windows start at 1..limit and read slack[1 .. limit+nu-1]; that span
+    # is padded to whole blocks, and no window reaches the padding
+    span = limit + nu - 1
+    slack = np.full(-(-span // nu) * nu, np.iinfo(np.int64).max, dtype=np.int64)
+    slack[:span] = np.arange(1, span + 1) - np.asarray(y[1 : span + 1], dtype=np.int64)
+    rows = slack.reshape(-1, nu)
+    prefix = np.minimum.accumulate(rows, axis=1).ravel()
+    suffix = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1].ravel()
+    window_min = np.minimum(suffix[:limit], prefix[nu - 1 : nu - 1 + limit])
+    idx = np.arange(1, limit + 1)
+    return idx[window_min >= idx].tolist()

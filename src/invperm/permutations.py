@@ -138,26 +138,20 @@ def decomposition_points(seq: Sequence[int]) -> list[int]:
 
     A nonnegative sequence a is decomposable at j when a_{j+i} <= i-1 for
     every i in [len-j]; for an inversion sequence these are exactly the
-    block boundaries.  Single right-to-left pass: j qualifies iff
+    block boundaries.  One suffix-minimum pass: j qualifies iff
     j <= min_{s > j} (s - 1 - a_s).
 
     >>> decomposition_points([0, 0, 2, 0, 1, 2, 0, 1, 4])
     [3]
     """
-    n = len(seq)
-    if isinstance(seq, np.ndarray):
-        if n <= 1:
-            return []
-        slack = np.arange(n, dtype=np.int64) - seq
-        suffix = np.minimum.accumulate(slack[::-1])[::-1]
-        hits = np.nonzero(np.arange(1, n) <= suffix[1:])[0] + 1
-        return hits.tolist()
-    points = [False] * n
-    bound = n  # running min of s - 1 - a_s over the suffix
-    for j in range(n - 1, 0, -1):
-        bound = min(bound, j - seq[j])  # s = j+1 (1-based), s-1-a_s = j - a[j]
-        points[j] = j <= bound
-    return [j for j in range(1, n) if points[j]]
+    a = np.asarray(seq, dtype=np.int64)
+    n = len(a)
+    if n <= 1:
+        return []
+    # 0-based slack[k] = k - a[k] is s - 1 - a_s for s = k + 1
+    slack = np.arange(n, dtype=np.int64) - a
+    suffix = np.minimum.accumulate(slack[::-1])[::-1]
+    return (np.nonzero(np.arange(1, n) <= suffix[1:])[0] + 1).tolist()
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,15 @@ class SamplerContext:
         """Independent sub-stream sharing the same table and seed."""
         return SamplerContext(self.table, self.seed, self.stream + stream)
 
+    def with_table(self, table: "InversionTable | None") -> "SamplerContext":
+        """This context over another table, drawing from the same generator.
+
+        Draws through either context advance one shared stream, so no
+        random bits are used twice; a context rebuilt from (seed, stream)
+        would replay the stream and correlate the two.
+        """
+        return SamplerContext(table, self.seed, self.stream, _gen=self.generator)
+
     def uniform_below(self, n: int) -> int:
         """Uniform integer in [0, n) for arbitrarily large n, exactly."""
         if n <= 0:

@@ -170,8 +170,7 @@ class SplitSampler:
         """One exactly uniform inversion sequence, as an int64 array."""
         c = self.head_size
         mw = self._m_work
-        head_ctx = SamplerContext(self.table, ctx.seed, ctx.stream)
-        head_ctx._gen = ctx.generator  # share the stream
+        head_ctx = ctx.with_table(self.table)
         while True:
             u = ctx.uniform_below(self._cum_weights[-1])
             a = bisect.bisect_right(self._cum_weights, u)

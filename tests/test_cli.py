@@ -181,6 +181,38 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sample --n 0 --m 0",
+        "count 0 0",
+        "table --max-n 0 --out F",
+        "params --n 2 --mu 0",
+        "blocks --perm 1,1",
+        "invseq --to-perm 0,5",
+        "invseq --from-perm 2,2",
+        "rho --n 1 --m 0",
+        "rho --n 4 --m 99",
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    words = argv.split()
+    code, out, err = run_cli(capsys, *words)
+    assert code == 2 and out == ""
+    assert err.startswith(f"invperm {words[0]}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "F").exists()
+
+
+def test_census_config_with_head_size_exits_2(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    cfg = {"n": 60, "mode": "components", "m_list": [100], "head_size": 4}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "census", "--config", str(path))
+    assert code == 2 and out == "" and "head_size" in err
+
+
 def test_census_monotonicity_mode(capsys):
     code, out, _ = run_cli(
         capsys, "census", "--mode", "monotonicity", "--n", "5", "--n-max", "5"

@@ -6,7 +6,6 @@ import pytest
 from invperm.counting import (
     InversionTable,
     build_table,
-    count,
     load_table,
     mahonian_polynomial,
     max_inversions,
@@ -43,13 +42,13 @@ def test_rows_match_exhaustive_enumeration(n):
 
 
 def test_count_boundary_convention():
-    assert count(TABLE40, 4, -1) == 0
-    assert count(TABLE40, 4, 7) == 0
-    assert count(TABLE40, 3, 1) == 2
+    assert TABLE40.count(4, -1) == 0
+    assert TABLE40.count(4, 7) == 0
+    assert TABLE40.count(3, 1) == 2
     with pytest.raises(ValueError):
-        count(TABLE40, 41, 0)
+        TABLE40.count(41, 0)
     with pytest.raises(ValueError):
-        count(TABLE40, 0, 0)
+        TABLE40.count(0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 40])

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from invperm.limits import (
     alpha_for_mu,
     boltzmann_saddle,
     euler_h,
-    euler_h_highprec,
     finite_n_block_cdfs,
     finite_n_cut_law,
     finite_n_mean_cuts,
@@ -30,6 +30,24 @@ def euler_h_long_product(q, terms=200):
     for j in range(1, terms + 1):
         prod *= 1.0 - q**j
     return prod
+
+
+def euler_h_pentagonal(q):
+    """prod_{j>=1} (1 - q^j) by Euler's pentagonal-number series, exactly.
+
+    The product is 1 + sum_{k>=1} (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}).
+    The groups alternate in sign and decrease, so stopping before the
+    first group below 1e-30 leaves an error below 1e-30.
+    """
+    q = Fraction(q)
+    total = Fraction(1)
+    k = 1
+    while True:
+        group = q ** (k * (3 * k - 1) // 2) + q ** (k * (3 * k + 1) // 2)
+        if group < 1e-30:
+            return total
+        total += (-1) ** k * group
+        k += 1
 
 
 def marked_points_brute(y, nu):
@@ -81,9 +99,9 @@ def test_euler_h_against_saddlepoint_form():
     assert 1.0 / 1.2 < h / approx < 1.2
 
 
-def test_euler_h_highprec_agrees():
+def test_euler_h_agrees_with_pentagonal_series():
     for q in (0.3, 0.884381167542094):
-        assert abs(float(euler_h_highprec(q)) - euler_h(q, 1e-15)) < 1e-13
+        assert abs(float(euler_h_pentagonal(q)) - euler_h(q, 1e-15)) < 1e-13
 
 
 def test_threshold_params_fields():
@@ -164,7 +182,9 @@ def test_marked_points_match_brute_oracle_random():
     rng = np.random.default_rng(7)
     for _ in range(40):
         length = int(rng.integers(10, 120))
-        nu = int(rng.integers(1, max(2, length // 3)))
+        # up to length // 2, so that 1 <= limit < nu and the last block
+        # of the window minima is partial
+        nu = int(rng.integers(1, length // 2 + 1))
         y = rng.integers(0, 6, size=length)
         expected = marked_points_brute(y.tolist(), nu)
         assert marked_points(y, nu) == expected

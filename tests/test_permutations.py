@@ -64,6 +64,15 @@ def graph_components(perm):
     return sorted(comps.values(), key=min)
 
 
+def decomposition_points_of_sequence_brute(seq):
+    """All j in [n-1] with a_{j+i} <= i-1 for every i in [n-j] (1-based a),
+    straight from the definition, for any nonnegative sequence."""
+    n = len(seq)
+    return [
+        j for j in range(1, n) if all(seq[j + i - 1] <= i - 1 for i in range(1, n - j + 1))
+    ]
+
+
 def random_inversion_sequence(rng, n):
     return [int(rng.integers(0, i + 1)) for i in range(n)]
 
@@ -150,11 +159,13 @@ def test_decomposition_points_match_prefix_definition(n):
 
 @given(st.integers(0, 10**6), st.integers(1, 200))
 @settings(max_examples=25, deadline=None)
-def test_decomposition_points_numpy_path_agrees(seed, n):
+def test_decomposition_points_match_definition_on_any_sequence(seed, n):
     rng = np.random.default_rng(seed)
     # arbitrary nonnegative sequences, not just inversion sequences
     seq = rng.integers(0, 8, size=n)
-    assert decomposition_points(seq) == decomposition_points(seq.tolist())
+    expected = decomposition_points_of_sequence_brute(seq.tolist())
+    assert decomposition_points(seq) == expected
+    assert decomposition_points(seq.tolist()) == expected
 
 
 def test_blocks_examples():

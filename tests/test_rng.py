@@ -31,6 +31,16 @@ def test_bernoulli_fraction_is_scale_invariant():
         assert a.uniform_below(1 << 40) == b.uniform_below(1 << 40)
 
 
+def test_with_table_continues_the_same_stream():
+    table = object()
+    ctx, fresh = SamplerContext(None, 2, (1,)), SamplerContext(None, 2, (1,))
+    other = ctx.with_table(table)
+    assert other.table is table and other.generator is ctx.generator
+    assert (other.seed, other.stream) == (ctx.seed, ctx.stream)
+    draws = [other.uniform_below(1 << 40), ctx.uniform_below(1 << 40)]
+    assert draws == [fresh.uniform_below(1 << 40) for _ in range(2)]
+
+
 def test_bernoulli_fraction_frequency():
     ctx = SamplerContext(None, 6)
     hits = sum(ctx.bernoulli_fraction(2, 7) for _ in range(7000))

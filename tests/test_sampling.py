@@ -236,6 +236,27 @@ def _two_sample_chisq(ha, hb):
     return chisq, stats.chi2.sf(chisq, df=len(ha) - 1)
 
 
+def test_split_sampler_head_walk_shares_the_callers_generator(monkeypatch):
+    """The head walk draws from the caller's generator object, not from a
+    replay of the caller's (seed, stream)."""
+    from invperm import sampling
+
+    seen = []
+    walk = sampling.sample_inversion_sequence
+
+    def spy(n, m, head_ctx):
+        seen.append(head_ctx)
+        return walk(n, m, head_ctx)
+
+    monkeypatch.setattr(sampling, "sample_inversion_sequence", spy)
+    caller = SamplerContext(None, 17, (3,))
+    SPLIT60.sample(caller)
+    assert seen
+    for head_ctx in seen:
+        assert head_ctx.generator is caller.generator
+        assert head_ctx.table is SPLIT60.table
+
+
 def test_split_sampler_large_n_invariants():
     n, m = 50_000, 300_000
     sampler = SplitSampler(n, m)
