@@ -44,6 +44,8 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _cmd_count(args) -> int:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     if args.table:
         try:
             table = counting.load_table(args.table)
@@ -91,9 +93,13 @@ def _cmd_invseq(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     top = counting.max_inversions(args.n)
     if not 0 <= args.m <= top:
         raise ValueError(f"--m must lie in 0..{top}")
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     small = args.n * (min(args.m, top - args.m) + 1) <= 2_000_000
     if small:
         table = counting.build_table(args.n, m_cap=min(args.m, top - args.m))
@@ -132,6 +138,8 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     if args.n > 8:
         raise ValueError("rho printing is limited to n <= 8")
     table = counting.build_table(args.n)

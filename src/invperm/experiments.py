@@ -102,6 +102,14 @@ class ExperimentConfig:
                         "blocks mode needs mu <= -2 (the Exp/Gumbel laws hold "
                         f"when n*h -> infinity); got mu={implied:.3f}"
                     )
+        if self.mode == "marked":
+            for _, m in self.resolved_points():
+                nu = threshold_params(self.n, m).nu
+                if self.n - nu < nu:
+                    raise ValueError(
+                        "marked mode needs n - nu >= nu, nu = "
+                        f"ceil(2 (m/n + 1) log n); n={self.n}, m={m} give nu={nu}"
+                    )
 
     def _implied_mu(self, m: int) -> float:
         base = _alpha_for_mu(self.n, 0.0)[0]

@@ -20,12 +20,19 @@ Two engines, both exactly uniform on the target set:
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .counting import InversionTable, build_table, max_inversions
 from .rng import SamplerContext
+
+# slots of the boolean mask ``sample_composition`` allocates (one byte each)
+MAX_COMPOSITION_SLOTS = 1 << 28
+# consecutive rejected proposals after which ``SplitSampler.sample`` gives
+# up; the default head size rejects about one proposal in a hundred
+MAX_RESTARTS = 10_000
 
 
 def _draw_last_coordinate(table: InversionTable, level: int, budget: int, u: int) -> int:
@@ -78,23 +85,36 @@ def sample_inversion_sequence(n: int, m: int, ctx: SamplerContext) -> list[int]:
 def sample_composition(parts: int, total: int, ctx: SamplerContext) -> np.ndarray:
     """Uniform composition of ``total`` into ``parts`` nonnegative parts.
 
-    Stars and bars: a uniform (parts-1)-subset of positions in a
-    (total+parts-1)-row marks the bars; gap lengths are the parts.
+    Stars and bars: a uniform (parts-1)-subset of the slots of a
+    (total+parts-1)-row marks the bars; gap lengths are the parts.  The
+    subset is a boolean mask over the slots: iid uniform slots are
+    scattered into it, then as many more as are still missing, until it
+    holds the wanted count.  The procedure commutes with every relabelling
+    of the slots and always ends at the wanted size, so its subset is
+    uniform.  The fewer of bars and stars are drawn and the other set is
+    the complement, so a near-full subset never becomes a coupon
+    collector (total = 0 draws nothing).
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
     if total < 0:
         raise ValueError("total must be >= 0")
-    if parts == 1:
-        return np.array([total], dtype=np.int64)
+    slots = total + parts - 1
+    if slots > MAX_COMPOSITION_SLOTS:
+        raise ValueError(
+            f"composition of total={total} into parts={parts} needs {slots} "
+            f"slots, above {MAX_COMPOSITION_SLOTS}"
+        )
+    drawn = min(parts - 1, total)
     gen = ctx.generator
-    bars = gen.choice(total + parts - 1, size=parts - 1, replace=False)
-    bars.sort()
-    out = np.empty(parts, dtype=np.int64)
-    out[0] = bars[0]
-    out[1:-1] = np.diff(bars) - 1
-    out[-1] = (total + parts - 2) - bars[-1]
-    return out
+    mask = np.zeros(slots, dtype=bool)
+    missing = drawn
+    while missing:
+        mask[gen.integers(0, slots, missing)] = True
+        missing = drawn - np.count_nonzero(mask)
+    if drawn < parts - 1:
+        np.logical_not(mask, out=mask)
+    return np.diff(np.flatnonzero(mask), prepend=-1, append=slots) - 1
 
 
 def default_head_size(n: int, m: int) -> int:
@@ -143,27 +163,26 @@ class SplitSampler:
         self.table = build_table(c, m_cap=min(mw, max_inversions(c)))
         self._tail_parts = n - c
         a_max = min(max_inversions(c), mw)
-        self._a_max = a_max
         self._cum_weights = self._weight_cumsums(a_max, mw, self._tail_parts)
         # tail bound check: tail coordinate i (1-based) is x_{c+i} <= c+i-1
         self._tail_bounds = np.arange(c, n, dtype=np.int64)
         self.restarts = 0
 
     def _weight_cumsums(self, a_max: int, m: int, parts: int) -> list[int]:
-        # scaled weights W(a) = s(c,a) * prod_{j=a}^{a_max-1}(m-j+parts-1)
-        #                              * prod_{j=0}^{a-1}(m-j)
+        # scaled weights W(a) = s(c,a) * P(a), where
+        #   P(a) = prod_{j=a}^{a_max-1}(m-j+parts-1) * prod_{j=0}^{a-1}(m-j)
         # so W(a+1)/W(a) = [s-ratio] * (m-a)/(m-a+parts-1), matching the
-        # ratio of tail-composition counts.
-        suffix = [1] * (a_max + 1)
-        for a in range(a_max - 1, -1, -1):
-            suffix[a] = suffix[a + 1] * (m - a + parts - 1)
+        # ratio of tail-composition counts.  P(a) holds the factor
+        # m-a+parts-1 for a < a_max, so P(a+1) = P(a) // (m-a+parts-1) * (m-a)
+        # is exact and each step is linear in the size of P.
+        factor = math.prod(m - j + parts - 1 for j in range(a_max))
         cums = []
         acc = 0
-        prefix = 1
         for a in range(a_max + 1):
-            acc += self.table.count(self.head_size, a) * suffix[a] * prefix
+            acc += self.table.count(self.head_size, a) * factor
             cums.append(acc)
-            prefix *= m - a
+            if a < a_max:
+                factor = factor // (m - a + parts - 1) * (m - a)
         return cums
 
     def sample(self, ctx: SamplerContext) -> np.ndarray:
@@ -171,7 +190,7 @@ class SplitSampler:
         c = self.head_size
         mw = self._m_work
         head_ctx = ctx.with_table(self.table)
-        while True:
+        for _ in range(MAX_RESTARTS + 1):
             u = ctx.uniform_below(self._cum_weights[-1])
             a = bisect.bisect_right(self._cum_weights, u)
             head = sample_inversion_sequence(c, a, head_ctx)
@@ -182,3 +201,7 @@ class SplitSampler:
                     x = np.arange(self.n, dtype=np.int64) - x
                 return x
             self.restarts += 1
+        raise ValueError(
+            f"SplitSampler(n={self.n}, m={self.m}) rejected {MAX_RESTARTS + 1} "
+            f"proposals in a row with head_size={c}; use a larger head"
+        )

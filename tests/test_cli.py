@@ -205,6 +205,30 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path, monkeypatch
     assert not (tmp_path / "F").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [("count 0 0", "n"), ("sample --n 0 --m 0", "--n"), ("rho --n 0 --m 0", "--n")],
+)
+def test_nonpositive_n_names_the_cli_argument(argv, name, capsys):
+    words = argv.split()
+    code, out, err = run_cli(capsys, *words)
+    assert code == 2 and out == ""
+    assert err == f"invperm {words[0]}: {name} must be >= 1\n"
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_sample_rejects_count_below_1(count, capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "5", "--m", "3", "--count", count)
+    assert code == 2 and out == ""
+    assert err == "invperm sample: --count must be >= 1\n"
+
+
+def test_census_marked_window_longer_than_the_rest_exits_2(capsys):
+    code, out, err = run_cli(capsys, "census", "--n", "10", "--mode", "marked", "--m", "5")
+    assert code == 2 and out == ""
+    assert "n=10, m=5 give nu=7" in err and "sequence length" not in err
+
+
 def test_census_config_with_head_size_exits_2(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     cfg = {"n": 60, "mode": "components", "m_list": [100], "head_size": 4}

@@ -177,6 +177,16 @@ def test_config_validation_errors():
         ExperimentConfig(n=2, mode="components", mu_list=[0.0]).validate()
 
 
+def test_config_validation_marked_needs_n_minus_nu_at_least_nu():
+    """nu = ceil(2 (m/n + 1) log n) is the marked-point window; the
+    composition it slides over has n - nu parts."""
+    with pytest.raises(ValueError, match="n=10, m=5 give nu=7"):
+        ExperimentConfig(n=10, mode="marked", m_list=[5]).validate()
+    with pytest.raises(ValueError, match="n=100, m=500 give nu=56"):
+        ExperimentConfig(n=100, mode="marked", m_list=[10, 500]).validate()
+    ExperimentConfig(n=100, mode="marked", m_list=[10]).validate()  # nu = 11
+
+
 def test_config_validation_bounds_parallelism():
     """Checked by validate() alone; no worker process is started."""
     cpus = os.cpu_count() or 1

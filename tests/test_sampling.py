@@ -1,5 +1,7 @@
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy import stats
 from invperm.counting import build_table, max_inversions
 from invperm.coupling import enumerate_inversion_sequences
 from invperm.permutations import decomposition_points
+from invperm import sampling
 from invperm.rng import SamplerContext
 from invperm.sampling import (
     SplitSampler,
@@ -133,6 +136,81 @@ def test_composition_invariants_and_errors():
         sample_composition(3, -1, ctx(11))
 
 
+class _Unscripted(Exception):
+    """A round of draws the script does not hold: args are (high, size)."""
+
+
+class _ScriptedGenerator:
+    """Stands in for the numpy generator: replays scripted rounds of
+    ``integers`` draws and stops at the first round not in the script."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+        self.calls = 0
+
+    def integers(self, low, high, size):
+        assert low == 0
+        if self.calls == len(self.rounds):
+            raise _Unscripted(int(high), int(size))
+        draw = self.rounds[self.calls]
+        self.calls += 1
+        assert len(draw) == size
+        return np.array(draw, dtype=np.int64)
+
+
+def _exact_composition_law(parts, total):
+    """The exact law of ``sample_composition(parts, total)``, by running it
+    on every script of draws.  A round that marks no new slot leaves the
+    mask as it was and is drawn again, so each round is enumerated over the
+    draws that mark something, with probability conditioned on that."""
+    law = Counter()
+    pending = [((), Fraction(1))]
+    while pending:
+        rounds, prob = pending.pop()
+        ctx = SamplerContext(None, 0, _gen=_ScriptedGenerator(rounds))
+        try:
+            out = sample_composition(parts, total, ctx)
+        except _Unscripted as need:
+            high, size = need.args
+            marked = set(itertools.chain.from_iterable(rounds))
+            moves = Fraction(1) - Fraction(len(marked), high) ** size
+            each = prob / high**size / moves
+            for draw in itertools.product(range(high), repeat=size):
+                if not set(draw) <= marked:
+                    pending.append((rounds + (draw,), each))
+            continue
+        law[tuple(out.tolist())] += prob
+    return law
+
+
+@pytest.mark.parametrize(
+    "parts,total",
+    # slots = total+parts-1 and bars = parts-1: bars < slots/2, bars = slots/2,
+    # bars > slots/2 (the stars are drawn), a single part, and total = 0
+    [(3, 3), (2, 4), (4, 3), (5, 1), (4, 2), (1, 5), (4, 0)],
+)
+def test_composition_bitmap_law_is_exactly_uniform(parts, total):
+    law = _exact_composition_law(parts, total)
+    assert set(law) == set(_compositions(total, parts))
+    assert set(law.values()) == {Fraction(1, comb(total + parts - 1, parts - 1))}
+
+
+def test_composition_draws_the_fewer_of_bars_and_stars():
+    """Near-full bar sets are drawn as their few stars: one star is one
+    draw, and total = 0 draws nothing."""
+    one_star = SamplerContext(None, 0, _gen=_ScriptedGenerator([(2,)]))
+    assert sample_composition(5, 1, one_star).tolist() == [0, 0, 1, 0, 0]
+    no_star = SamplerContext(None, 0, _gen=_ScriptedGenerator([]))
+    assert sample_composition(4, 0, no_star).tolist() == [0, 0, 0, 0]
+
+
+def test_composition_checks_size_before_allocating(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_COMPOSITION_SLOTS", 10)
+    assert sample_composition(5, 6, ctx(11)).sum() == 6  # 10 slots
+    with pytest.raises(ValueError, match="total=7 into parts=5"):
+        sample_composition(5, 7, ctx(11))
+
+
 def test_composition_coordinate_marginal_geometric():
     """A fixed coordinate of a uniform composition is near Geometric(1-q),
     q = alpha/(alpha+1), when total/parts = alpha is large."""
@@ -193,6 +271,59 @@ def test_split_sampler_uniform_on_small_spaces(n, m, head):
     expect = draws / len(space)
     chisq = sum((c[s] - expect) ** 2 / expect for s in space)
     assert stats.chi2.sf(chisq, df=len(space) - 1) > PVAL_FLOOR
+
+
+def _product_form_cumsums(sampler):
+    """The head-sum weights as a product of two full factor chains,
+    W(a) = s(c, a) * prod_{a <= j < a_max}(m-j+K-1) * prod_{j < a}(m-j)."""
+    c, m, parts = sampler.head_size, sampler._m_work, sampler._tail_parts
+    a_max = min(max_inversions(c), m)
+    suffix = [1] * (a_max + 1)
+    for a in range(a_max - 1, -1, -1):
+        suffix[a] = suffix[a + 1] * (m - a + parts - 1)
+    cums, acc, prefix = [], 0, 1
+    for a in range(a_max + 1):
+        acc += sampler.table.count(c, a) * suffix[a] * prefix
+        cums.append(acc)
+        prefix *= m - a
+    return cums
+
+
+@pytest.mark.parametrize(
+    "n,m,head",
+    [
+        (5, 4, 2),
+        (6, 13, 3),  # reflected
+        (6, 15, 3),  # reflected to budget 0
+        (12, 0, None),
+        (60, 150, None),
+        (50, 1100, None),  # reflected
+        (300, 44_000, None),  # reflected
+        (20_000, 123_456, None),
+        (30, 100, 20),  # head sums up to the whole budget
+    ],
+)
+def test_weight_cumsums_match_product_form(n, m, head):
+    sampler = SplitSampler(n, m, head_size=head)
+    assert sampler._cum_weights == _product_form_cumsums(sampler)
+
+
+def test_split_sampler_restart_cap(monkeypatch):
+    """A draw that needs r restarts succeeds, on the same stream, under any
+    cap of at least r, and raises under a cap below r."""
+    sampler = SplitSampler(12, 30, head_size=1)
+    caller = SamplerContext(None, 18, (0,))
+    x = sampler.sample(caller)
+    restarts = sampler.restarts
+    assert restarts >= 2
+    monkeypatch.setattr(sampling, "MAX_RESTARTS", restarts)
+    again = SamplerContext(None, 18, (0,))
+    assert sampler.sample(again).tolist() == x.tolist()
+    after = caller.generator.bit_generator.random_raw(4)
+    assert (again.generator.bit_generator.random_raw(4) == after).all()
+    monkeypatch.setattr(sampling, "MAX_RESTARTS", restarts - 1)
+    with pytest.raises(ValueError, match=r"n=12, m=30\).*head_size=1"):
+        sampler.sample(SamplerContext(None, 18, (0,)))
 
 
 def test_split_sampler_reflection_flag():
