@@ -187,7 +187,7 @@ def _cmd_census(args) -> int:
             )
         cfg.validate()
     except (ValueError, OSError, TypeError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"invperm census: {exc}", file=sys.stderr)
         return 2
 
     if cfg.mode == "components":

@@ -8,6 +8,7 @@ ratios of these counts, so no floating point is allowed here.
 
 from __future__ import annotations
 
+import math
 import struct
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
@@ -15,6 +16,10 @@ from operator import sub
 
 _MAGIC = b"IVTB"
 _FORMAT_VERSION = 1
+
+# cells ``build_table`` agrees to fill; the largest table the tests build
+# (n = 600 capped at its threshold budget) has about 1.4e6
+MAX_TABLE_CELLS = 10**7
 
 
 def max_inversions(n: int) -> int:
@@ -60,6 +65,19 @@ class InversionTable:
         return n <= self.max_n and (self.m_cap is None or m <= self.m_cap)
 
 
+def table_cells(max_n: int, m_cap: int | None = None) -> int:
+    """Cells of ``build_table(max_n, m_cap)``: sum of min(C(n,2), m_cap) + 1.
+
+    Rows up to full = the largest n with C(n,2) <= m_cap are whole and
+    hold C(full+1, 3) + full + 1 cells in all; each later row holds
+    m_cap + 1.
+    """
+    full = max_n
+    if m_cap is not None:
+        full = min(max_n, (1 + math.isqrt(1 + 8 * m_cap)) // 2)
+    return math.comb(full + 1, 3) + max_n + 1 + (max_n - full) * (m_cap or 0)
+
+
 def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     """Fill the count table for all n <= max_n by the one-row recurrence.
 
@@ -68,12 +86,19 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     running sum of s(n-1, m) - s(n-1, m-n), so each cell costs O(1)
     big-integer additions, done in ``itertools`` rather than a Python
     loop.  ``m_cap`` truncates every row at that column (the recurrence
-    never looks right of the cap).
+    never looks right of the cap).  A table of more than
+    ``MAX_TABLE_CELLS`` cells is refused before anything is allocated.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if m_cap is not None and m_cap < 0:
         raise ValueError("m_cap must be >= 0")
+    cells = table_cells(max_n, m_cap)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"table max_n={max_n}, m_cap={m_cap} has {cells} cells, "
+            f"above {MAX_TABLE_CELLS}"
+        )
     rows: list[list[int]] = [[1]]
     for n in range(1, max_n + 1):
         prev = rows[n - 1]

@@ -103,13 +103,18 @@ class ExperimentConfig:
                         f"when n*h -> infinity); got mu={implied:.3f}"
                     )
         if self.mode == "marked":
-            for _, m in self.resolved_points():
+            points = self.resolved_points()
+            for _, m in points:
                 nu = threshold_params(self.n, m).nu
                 if self.n - nu < nu:
                     raise ValueError(
                         "marked mode needs n - nu >= nu, nu = "
                         f"ceil(2 (m/n + 1) log n); n={self.n}, m={m} give nu={nu}"
                     )
+            if len(points) > 1:
+                raise ValueError(
+                    f"marked mode takes one point (one --mu or --m); got {len(points)}"
+                )
 
     def _implied_mu(self, m: int) -> float:
         base = _alpha_for_mu(self.n, 0.0)[0]
@@ -487,7 +492,7 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
     cfg.validate()
     if cfg.mode != "marked":
         raise ValueError("config mode must be 'marked'")
-    mu, m = cfg.resolved_points()[0]
+    [(mu, m)] = cfg.resolved_points()
     params = threshold_params(cfg.n, m)
     nu = params.nu
     parts = cfg.n - nu

@@ -2,10 +2,12 @@
 
 Two engines, both exactly uniform on the target set:
 
-* ``sample_inversion_sequence`` walks the count table: the last
-  coordinate is j with probability s(n-1, m-j)/s(n, m), then recurse.
-  Categorical draws use a uniform big integer below s(n, m), so there is
-  no rounding bias.  Budgets above half the maximum are reflected through
+* ``sample_inversion_sequence`` unranks one uniform big integer u below
+  s(n, m): the last coordinate is the j whose block of s(n-1, m-j)
+  values holds u, and the offset of u in that block ranks the rest, so
+  each j has probability s(n-1, m-j)/s(n, m) and the map from u to
+  sequences is a bijection.  One exact draw per walk, no rounding bias.
+  Budgets above half the maximum are reflected through
   x_i -> (i-1) - x_i first, halving the table columns needed.
 
 * ``SplitSampler`` handles sizes where the table is out of reach.  It
@@ -35,16 +37,20 @@ MAX_COMPOSITION_SLOTS = 1 << 28
 MAX_RESTARTS = 10_000
 
 
-def _draw_last_coordinate(table: InversionTable, level: int, budget: int, u: int) -> int:
-    """Map a uniform draw u in [0, s(level, budget)) to the last coordinate.
+def _draw_last_coordinate(
+    table: InversionTable, level: int, budget: int, u: int
+) -> tuple[int, int]:
+    """Unrank one level: map u in [0, s(level, budget)) to (j, rest).
 
-    Outcome j absorbs exactly s(level-1, budget-j) values of u, walking
-    cumulative sums from j = 0.
+    Outcome j takes the s(level-1, budget-j) values of u from
+    offset_j = sum_{j'<j} s(level-1, budget-j') on, walking j up from 0.
+    rest = u - offset_j lies in [0, s(level-1, budget-j)) and ranks the
+    remaining coordinates, so the map is a bijection.
     """
     for j in range(min(level - 1, budget) + 1):
         w = table.count(level - 1, budget - j)
         if u < w:
-            return j
+            return j, u
         u -= w
     raise AssertionError("draw exceeded row total")  # pragma: no cover
 
@@ -53,11 +59,11 @@ def _sample_direct(n: int, m: int, ctx: SamplerContext) -> list[int]:
     table = ctx.table
     x = [0] * n
     budget = m
+    u = ctx.uniform_below(table.count(n, m))
     for level in range(n, 0, -1):
         if budget == 0:
             break
-        u = ctx.uniform_below(table.count(level, budget))
-        j = _draw_last_coordinate(table, level, budget, u)
+        j, u = _draw_last_coordinate(table, level, budget, u)
         x[level - 1] = j
         budget -= j
     return x

@@ -410,7 +410,7 @@ def test_criterion_8_sampler_correctness():
                     u_count = 0
                     total = table.count(level, budget)
                     for u in range(total):
-                        if _draw_last_coordinate(table, level, budget, u) == work[level - 1]:
+                        if _draw_last_coordinate(table, level, budget, u)[0] == work[level - 1]:
                             u_count += 1
                     prob *= F(u_count, total)
                     budget -= work[level - 1]

@@ -193,6 +193,10 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
         "invseq --from-perm 2,2",
         "rho --n 1 --m 0",
         "rho --n 4 --m 99",
+        "count 100000 1000000000",
+        "table --max-n 100000 --out F",
+        "census --n 60",
+        "census --config missing.json",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path, monkeypatch):
@@ -227,6 +231,14 @@ def test_census_marked_window_longer_than_the_rest_exits_2(capsys):
     code, out, err = run_cli(capsys, "census", "--n", "10", "--mode", "marked", "--m", "5")
     assert code == 2 and out == ""
     assert "n=10, m=5 give nu=7" in err and "sequence length" not in err
+
+
+def test_census_marked_with_two_points_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--n", "2000", "--mode", "marked", "--m", "3000", "--m", "9000"
+    )
+    assert code == 2 and out == ""
+    assert err == "invperm census: marked mode takes one point (one --mu or --m); got 2\n"
 
 
 def test_census_config_with_head_size_exits_2(capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from invperm import counting
 from invperm.counting import (
     InversionTable,
     build_table,
@@ -10,6 +11,7 @@ from invperm.counting import (
     mahonian_polynomial,
     max_inversions,
     save_table,
+    table_cells,
 )
 
 TABLE40 = build_table(40)
@@ -132,3 +134,24 @@ def test_build_rejects_bad_args():
         build_table(0)
     with pytest.raises(ValueError):
         build_table(3, m_cap=-1)
+
+
+def test_table_cells_counts_the_stored_entries():
+    for max_n in range(1, 30):
+        for m_cap in [None, *range(0, 120, 7)]:
+            table = build_table(max_n, m_cap=m_cap)
+            stored = sum(len(table._rows[n]) for n in range(max_n + 1))
+            assert table_cells(max_n, m_cap) == stored
+    assert table_cells(100_000, 10**9) > 10**13
+
+
+def test_build_refuses_oversize_table_before_allocating(monkeypatch):
+    with pytest.raises(ValueError, match=f"has {table_cells(100_000)} cells"):
+        build_table(100_000)
+    with pytest.raises(ValueError, match="above 10000000"):
+        build_table(100_000, m_cap=10**9)
+    # the limit is checked before the first row is filled
+    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(12, 20) - 1)
+    monkeypatch.setattr(counting, "accumulate", None)
+    with pytest.raises(ValueError, match="max_n=12, m_cap=20"):
+        build_table(12, m_cap=20)

@@ -187,6 +187,18 @@ def test_config_validation_marked_needs_n_minus_nu_at_least_nu():
     ExperimentConfig(n=100, mode="marked", m_list=[10]).validate()  # nu = 11
 
 
+def test_config_validation_marked_takes_one_point():
+    """The marked runner reports one (mu, m) point; more are refused, not
+    dropped."""
+    for points in ({"m_list": [3000, 9000]}, {"mu_list": [-2.0], "m_list": [3000]}):
+        cfg = ExperimentConfig(n=2000, mode="marked", **points)
+        with pytest.raises(ValueError, match="one point .*got 2"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="one point"):
+            run_marked_vs_decomposition(cfg)
+    ExperimentConfig(n=2000, mode="marked", m_list=[3000]).validate()
+
+
 def test_config_validation_bounds_parallelism():
     """Checked by validate() alone; no worker process is started."""
     cpus = os.cpu_count() or 1

@@ -38,11 +38,66 @@ def test_draw_preimage_counts_are_exact():
         for budget in range(max_inversions(level) + 1):
             total = TABLE.count(level, budget)
             hits = Counter(
-                _draw_last_coordinate(TABLE, level, budget, u)
+                _draw_last_coordinate(TABLE, level, budget, u)[0]
                 for u in range(total)
             )
             for j in range(min(level - 1, budget) + 1):
                 assert hits[j] == TABLE.count(level - 1, budget - j)
+
+
+class _FixedDraw:
+    """Context stand-in whose every uniform draw returns ``u``."""
+
+    def __init__(self, table, u):
+        self.table = table
+        self.u = u
+        self.bounds = []
+
+    def uniform_below(self, bound):
+        self.bounds.append(bound)
+        return self.u
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_is_a_bijection_from_one_draw(n):
+    """For every m, direct and reflected, the walk asks for one draw below
+    s(n, m) and maps the u < s(n, m) onto the sequences with sum m, each
+    hit exactly once."""
+    for m in range(max_inversions(n) + 1):
+        total = TABLE.count(n, m)
+        seen = []
+        for u in range(total):
+            draw = _FixedDraw(TABLE, u)
+            seen.append(tuple(sample_inversion_sequence(n, m, draw)))
+            assert draw.bounds == [total]
+        assert len(set(seen)) == total
+        assert set(seen) == set(enumerate_inversion_sequences(n, m))
+
+
+def test_one_uniform_draw_per_walk(monkeypatch):
+    """A walker draw makes one ``uniform_below`` call; a split-sampler
+    draw makes two per proposal (head sum, head walk)."""
+    calls = []
+    uniform_below = SamplerContext.uniform_below
+
+    def spy(self, bound):
+        calls.append(bound)
+        return uniform_below(self, bound)
+
+    monkeypatch.setattr(SamplerContext, "uniform_below", spy)
+    for n, m in [(12, 0), (12, 20), (12, 50), (12, 66)]:
+        calls.clear()
+        sample_inversion_sequence(n, m, ctx(5, n, m))
+        assert len(calls) == 1
+    accepted = 0
+    for t in range(20):
+        calls.clear()
+        before = SPLIT60.restarts
+        SPLIT60.sample(SamplerContext(None, 6, (t,)))
+        proposals = 1 + SPLIT60.restarts - before
+        accepted += proposals == 1
+        assert len(calls) == 2 * proposals
+    assert accepted
 
 
 def test_exhaustive_support_small():
