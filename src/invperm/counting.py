@@ -12,7 +12,8 @@ import math
 import struct
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from operator import sub
+from operator import mul, sub
+from typing import Iterator
 
 _MAGIC = b"IVTB"
 _FORMAT_VERSION = 1
@@ -25,6 +26,12 @@ MAX_TABLE_CELLS = 10**7
 def max_inversions(n: int) -> int:
     """Largest possible inversion count of a permutation of [n]."""
     return n * (n - 1) // 2
+
+
+def _row_width(n: int, m_cap: int | None) -> int:
+    """Entries stored for row n: min(C(n,2), m_cap) + 1."""
+    top = max_inversions(n)
+    return top + 1 if m_cap is None else min(top, m_cap) + 1
 
 
 class InversionTable:
@@ -40,12 +47,8 @@ class InversionTable:
         self.m_cap = m_cap
 
     def row(self, n: int) -> list[int]:
-        """All counts s(n, 0..C(n,2)) as a list (copy)."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"row {n} outside table range 0..{self.max_n}")
-        if self.m_cap is not None and self.m_cap < max_inversions(n):
-            raise ValueError(f"row {n} is column-capped at {self.m_cap}")
-        return list(self._rows[n])
+        """All counts s(n, 0..C(n,2)) as a list (copy); a capped row raises."""
+        return list(self.counts(n, 0, max_inversions(n)))
 
     def count(self, n: int, m: int) -> int:
         """s(n, m), with s(n, m) = 0 outside 0 <= m <= C(n,2)."""
@@ -59,6 +62,23 @@ class InversionTable:
                 f"s({n},{m}) not stored: table column-capped at {self.m_cap}"
             )
         return row[m]
+
+    def counts(self, n: int, first: int, last: int) -> Iterator[int]:
+        """Lazy s(n, first), ..., s(n, last), descending when first > last.
+
+        The range is checked once, here; the iterator reads the stored row
+        without copying it.  Both ends must be stored entries, so a column
+        past the cap or past C(n,2) raises.
+        """
+        if not 1 <= n <= self.max_n:
+            raise ValueError(f"n={n} outside table range 1..{self.max_n}")
+        row = self._rows[n]
+        low, high = (first, last) if first <= last else (last, first)
+        if low < 0 or high >= len(row):
+            raise ValueError(f"s({n},{first}..{last}) not stored (column cap {self.m_cap})")
+        if first <= last:
+            return map(row.__getitem__, range(first, last + 1))
+        return map(row.__getitem__, range(first, last - 1, -1))
 
     def covers(self, n: int, m: int) -> bool:
         """True when s(n', m') is stored for all n' <= n, m' <= m."""
@@ -102,11 +122,8 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     rows: list[list[int]] = [[1]]
     for n in range(1, max_n + 1):
         prev = rows[n - 1]
-        width = max_inversions(n)
-        if m_cap is not None:
-            width = min(width, m_cap)
         diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
-        rows.append(list(accumulate(islice(diffs, width + 1))))
+        rows.append(list(accumulate(islice(diffs, _row_width(n, m_cap)))))
     return InversionTable(rows, m_cap=m_cap)
 
 
@@ -117,14 +134,17 @@ def expected_cuts(table: InversionTable, n: int, m: int) -> Fraction:
     permutation into a permutation of [j] with a inversions and one of
     [n-j] with m - a, every value of the first below every value of the
     second, so E[C - 1] = sum_{0<j<n} sum_a s(j, a) s(n-j, m-a) / s(n, m).
-    The table must cover (n, m).
+    The terms of j and n-j are equal (a -> m - a), so each pair is summed
+    once, over the a with both counts nonzero.  The table must cover (n, m).
     """
     total = 0
-    for j in range(1, n):
-        for a in range(min(max_inversions(j), m) + 1):
-            other = table.count(n - j, m - a)
-            if other:
-                total += table.count(j, a) * other
+    for j in range(1, n // 2 + 1):
+        lo = max(0, m - max_inversions(n - j))
+        hi = min(max_inversions(j), m)
+        if lo > hi:
+            continue
+        term = sum(map(mul, table.counts(j, lo, hi), table.counts(n - j, m - lo, m - hi)))
+        total += term if 2 * j == n else 2 * term
     return Fraction(total, table.count(n, m))
 
 
@@ -174,7 +194,8 @@ def save_table(table: InversionTable, path: str) -> None:
 def load_table(path: str) -> InversionTable:
     """Read a cache produced by :func:`save_table`, validating the header.
 
-    A malformed or truncated cache raises ``ValueError``.
+    A malformed or truncated cache, or a row whose entry count is not the
+    min(C(n,2), m_cap) + 1 that ``build_table`` stores, raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -184,9 +205,13 @@ def load_table(path: str) -> InversionTable:
             version, max_n, cap = struct.unpack("<IIQ", fh.read(16))
             if version != _FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")
+            m_cap = None if cap == (1 << 64) - 1 else cap
             rows = []
-            for _ in range(max_n + 1):
+            for n in range(max_n + 1):
                 (nentries,) = struct.unpack("<Q", fh.read(8))
+                width = _row_width(n, m_cap)
+                if nentries != width:
+                    raise ValueError(f"cache row {n} has {nentries} entries, expected {width}")
                 row = []
                 for _ in range(nentries):
                     (nbytes,) = struct.unpack("<Q", fh.read(8))
@@ -197,5 +222,4 @@ def load_table(path: str) -> InversionTable:
                 rows.append(row)
         except struct.error as exc:
             raise ValueError(f"truncated inversion-table cache ({exc})") from None
-    m_cap = None if cap == (1 << 64) - 1 else cap
     return InversionTable(rows, m_cap=m_cap)

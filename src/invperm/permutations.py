@@ -10,6 +10,7 @@ inversion pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,80 +34,44 @@ def validate_inversion_sequence(x: Sequence[int]) -> None:
             raise ValueError(f"x[{i}]={v} violates 0 <= x_i <= i-1")
 
 
-class _Fenwick:
-    """Fenwick tree over 1..n supporting prefix sums and k-th order lookup."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-        # highest power of two <= n, for the k-th element bit walk
-        self.top = 1 << (n.bit_length() - 1) if n else 0
-
-    def add(self, i: int, delta: int) -> None:
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & -i
-
-    def prefix(self, i: int) -> int:
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & -i
-        return total
-
-    def kth(self, k: int) -> int:
-        """Smallest index i with prefix(i) >= k (k is 1-based)."""
-        pos = 0
-        step = self.top
-        while step:
-            nxt = pos + step
-            if nxt <= self.n and self.tree[nxt] < k:
-                pos = nxt
-                k -= self.tree[nxt]
-            step >>= 1
-        return pos + 1
-
-
 def inversion_sequence(perm: Sequence[int]) -> list[int]:
-    """Inversion sequence of a permutation, O(n log n).
+    """Inversion sequence of a permutation, O(n log n + m) for m inversions.
+
+    Scans from the right over an ascending list of the values at
+    positions 0..i: perm[i] sits at index k of it, so the i - k values
+    above it stand earlier and x_i = i - k, and deleting it moves only
+    those x_i slots.  A dense permutation (m near n^2/4) therefore pays
+    O(n^2) slot moves, done by memmove.
 
     >>> inversion_sequence((2, 3, 1, 7, 6, 4, 9, 8, 5))
     [0, 0, 2, 0, 1, 2, 0, 1, 4]
     """
     validate_permutation(perm)
     n = len(perm)
-    fen = _Fenwick(n)
-    x = []
-    for i, v in enumerate(perm):
-        # earlier values larger than v = (#seen so far) - (#seen <= v)
-        x.append(i - fen.prefix(v))
-        fen.add(v, 1)
+    free = list(range(1, n + 1))
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        k = bisect_left(free, perm[i])
+        x[i] = i - k
+        del free[k]
     return x
 
 
 def permutation_from_inversion_sequence(x: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`inversion_sequence`, O(n log n).
+    """Inverse of :func:`inversion_sequence`, O(n log n + m) for sum m.
 
-    Fills positions n down to 1: position t receives the (1+x_t)-th
-    largest value still unused.
+    Fills positions n down to 1 from an ascending list of the unused
+    values: position t receives the (1+x_t)-th largest, at index t - x_t
+    (0-based t), and popping it moves only the x_t slots to its right.
 
     >>> permutation_from_inversion_sequence([0, 0, 2, 0, 1, 2, 0, 1, 4])
     (2, 3, 1, 7, 6, 4, 9, 8, 5)
     """
     validate_inversion_sequence(x)
     n = len(x)
-    fen = _Fenwick(n)
-    for v in range(1, n + 1):
-        fen.add(v, 1)
-    word = [0] * n
-    remaining = n
-    for t in range(n - 1, -1, -1):
-        # (1+x_t)-th largest among remaining = (remaining - x_t)-th smallest
-        v = fen.kth(remaining - x[t])
-        word[t] = v
-        fen.add(v, -1)
-        remaining -= 1
-    return tuple(word)
+    free = list(range(1, n + 1))
+    word = [free.pop(t - v) for t, v in zip(range(n - 1, -1, -1), reversed(x))]
+    return tuple(reversed(word))
 
 
 def inversion_count(perm: Sequence[int]) -> int:

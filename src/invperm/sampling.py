@@ -45,13 +45,20 @@ def _draw_last_coordinate(
     Outcome j takes the s(level-1, budget-j) values of u from
     offset_j = sum_{j'<j} s(level-1, budget-j') on, walking j up from 0.
     rest = u - offset_j lies in [0, s(level-1, budget-j)) and ranks the
-    remaining coordinates, so the map is a bijection.
+    remaining coordinates, so the map is a bijection.  The buckets with
+    budget - j > C(level-1, 2) are empty, so the scan starts past them
+    and reads the rest of row level-1 in one descending pass.
     """
-    for j in range(min(level - 1, budget) + 1):
-        w = table.count(level - 1, budget - j)
+    # j runs from max(0, budget - C(level-1, 2)) to min(level-1, budget),
+    # spelt without max/min calls, which cost a measurable share per level
+    j = budget - (level - 1) * (level - 2) // 2
+    j = j if j > 0 else 0
+    last = budget - level + 1
+    for w in table.counts(level - 1, budget - j, last if last > 0 else 0):
         if u < w:
             return j, u
         u -= w
+        j += 1
     raise AssertionError("draw exceeded row total")  # pragma: no cover
 
 

@@ -40,6 +40,19 @@ def test_count_rejects_truncated_cache(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_count_rejects_cache_with_short_row(tmp_path, capsys):
+    from invperm.counting import InversionTable, build_table, save_table
+
+    full = build_table(8)
+    rows = [[1]] + [full.row(k) for k in range(1, 9)]
+    rows[6] = rows[6][:-3]
+    cache = str(tmp_path / "bad.bin")
+    save_table(InversionTable(rows), cache)
+    code, out, err = run_cli(capsys, "count", "6", "15", "--table", cache)
+    assert code == 2 and out == ""
+    assert err == "cannot read table cache: cache row 6 has 13 entries, expected 16\n"
+
+
 def test_blocks_json(capsys):
     code, out, _ = run_cli(capsys, "blocks", "--perm", "2,4,1,3,5,8,6,7")
     assert code == 0

@@ -111,6 +111,42 @@ def test_cache_round_trip(tmp_path):
     assert load_table(path2).row(9) == full.row(9)
 
 
+def test_counts_agrees_with_count_both_ways():
+    capped = build_table(30, m_cap=50)
+    for table in (TABLE40, capped):
+        for n in (1, 2, 5, 11, 30):
+            top = len(table._rows[n]) - 1
+            for first, last in [(0, top), (top, 0), (0, 0), (top // 3, top // 2), (top // 2, top // 3)]:
+                step = 1 if first <= last else -1
+                expected = [table.count(n, m) for m in range(first, last + step, step)]
+                assert list(table.counts(n, first, last)) == expected
+
+
+def test_counts_rejects_unstored_columns():
+    capped = build_table(30, m_cap=50)
+    with pytest.raises(ValueError, match="not stored"):
+        capped.counts(30, 0, 51)
+    with pytest.raises(ValueError, match="not stored"):
+        capped.counts(30, 51, 0)
+    with pytest.raises(ValueError, match="not stored"):
+        TABLE40.counts(4, 0, 7)
+    for n in (0, 31, -1):
+        with pytest.raises(ValueError, match="outside table range"):
+            capped.counts(n, 0, 0)
+    with pytest.raises(ValueError, match="not stored"):
+        capped.counts(5, -1, 3)
+
+
+@pytest.mark.parametrize("delta", [-3, -1, 1, 2])
+def test_cache_rejects_wrong_row_width(tmp_path, delta):
+    path = str(tmp_path / "bad.bin")
+    rows = [[1]] + [TABLE40.row(k) for k in range(1, 9)]
+    rows[6] = rows[6][:delta] if delta < 0 else rows[6] + [0] * delta
+    save_table(InversionTable(rows), path)
+    with pytest.raises(ValueError, match=f"cache row 6 has {16 + delta} entries, expected 16"):
+        load_table(path)
+
+
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invperm.counting import build_table
 from invperm.permutations import (
     blocks,
     blocks_from_inversion_sequence,
@@ -17,6 +18,8 @@ from invperm.permutations import (
     psi,
     validate_inversion_sequence,
 )
+from invperm.rng import SamplerContext
+from invperm.sampling import SplitSampler, sample_inversion_sequence
 
 PAPER_PERM = (2, 3, 1, 7, 6, 4, 9, 8, 5)
 PAPER_SEQ = [0, 0, 2, 0, 1, 2, 0, 1, 4]
@@ -110,6 +113,23 @@ def test_round_trip_large_random():
         assert permutation_from_inversion_sequence(
             inversion_sequence(tuple(word))
         ) == tuple(word)
+
+
+@pytest.mark.parametrize("n,m", [(2000, 400), (3000, 16221), (5000, 28682)])
+def test_round_trip_sparse_sampled_sequences(n, m):
+    """Sampled sequences near the threshold are sparse (mean m/n = O(log n)),
+    unlike the dense random ones above: a walker draw at n = 2000 and
+    split-sampler draws at the mu = 0 budgets of n = 3000 and 5000 go
+    through the bijection and back, checked against the definition."""
+    if n == 2000:
+        ctx = SamplerContext(build_table(n, m_cap=m), 17, (n,))
+        x = sample_inversion_sequence(n, m, ctx)
+    else:
+        x = SplitSampler(n, m).sample(SamplerContext(None, 17, (n,))).tolist()
+    assert sum(x) == m
+    perm = permutation_from_inversion_sequence(x)
+    assert inversion_sequence_quadratic(perm) == x
+    assert inversion_sequence(perm) == x
 
 
 @given(st.integers(0, 10**6), st.integers(1, 300))

@@ -45,6 +45,39 @@ def test_draw_preimage_counts_are_exact():
                 assert hits[j] == TABLE.count(level - 1, budget - j)
 
 
+def _reference_last_coordinate(table, level, budget, u):
+    """The bucket scan through ``count``, from j = 0."""
+    for j in range(min(level - 1, budget) + 1):
+        w = table.count(level - 1, budget - j)
+        if u < w:
+            return j, u
+        u -= w
+    raise AssertionError("draw exceeded row total")
+
+
+def test_draw_matches_count_based_scan_on_capped_table():
+    """On a capped table the scan starts at j_min = budget - C(level-1, 2)
+    when that is positive, and must still agree with the plain scan."""
+    table = build_table(60, m_cap=400)
+    rng = np.random.default_rng(8)
+    skipped = 0
+    for level in (2, 3, 5, 9, 17, 28, 29, 40, 60):
+        top = min(max_inversions(level), 400)
+        below = max_inversions(level - 1)
+        for budget in sorted({0, 1, level, below, below + 1, top, 200, 400}):
+            if budget > top:
+                continue
+            total = table.count(level, budget)
+            us = {0, total - 1, total // 2}
+            us.update(int(v) for v in rng.integers(0, min(total, 2**62), 5))
+            skipped += budget > below
+            for u in us:
+                assert _draw_last_coordinate(
+                    table, level, budget, u
+                ) == _reference_last_coordinate(table, level, budget, u)
+    assert skipped >= 5
+
+
 class _FixedDraw:
     """Context stand-in whose every uniform draw returns ``u``."""
 
