@@ -2,11 +2,11 @@
 
 Subcommands: ``count``, ``table``, ``blocks``, ``invseq``, ``sample``,
 ``chain``, ``rho``, ``params``, ``census``.  Every subcommand exits with 2
-on bad input: :func:`main` turns a ``ValueError`` into one
-``invperm <command>: <message>`` line on stderr.  ``count --table`` also
-exits with 2 on an unreadable cache, and ``chain`` for n above
+on bad input: :func:`main` turns a ``ValueError`` or an ``OSError`` into
+one ``invperm <command>: <message>`` line on stderr.  ``count --table``
+also exits with 2 on an unreadable cache, and ``chain`` for n above
 ``CHAIN_MAX_N``, before it builds its count table.  Census exits with 1
-when a statistical assertion fails.
+when its report has not passed.
 """
 
 from __future__ import annotations
@@ -14,16 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import counting
 from .coupling import BetaTable, materialize_rho, run_chain
-from .experiments import (
-    ExperimentConfig,
-    run_block_census,
-    run_component_census,
-    run_marked_vs_decomposition,
-    run_monotonicity_check,
-)
+from .experiments import RUNNERS, ExperimentConfig
 from .limits import alpha_for_mu, threshold_params
 from .permutations import (
     blocks,
@@ -163,61 +158,26 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    try:
-        if args.config:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            version = raw.pop("schema_version", 1)
-            if version != 1:
-                raise ValueError(f"unsupported config schema version {version}")
-            cfg = ExperimentConfig(**raw)
-        else:
-            if args.n is None or args.mode is None:
-                raise ValueError("need --config or (--n and --mode)")
-            cfg = ExperimentConfig(
-                n=args.n,
-                mode=args.mode,
-                trials=args.trials,
-                seed=args.seed,
-                mu_list=args.mu,
-                m_list=args.m,
-                parallelism=args.parallelism,
-                out_dir=args.out,
-                n_max=args.n_max,
-            )
+    if args.config:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        version = raw.pop("schema_version", 1)
+        if version != 1:
+            raise ValueError(f"unsupported config schema version {version}")
+    elif args.n is None or args.mode is None:
+        raise ValueError("need --config or (--n and --mode)")
+    else:
+        # each census flag's dest is the ExperimentConfig field it sets
+        raw = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    try:  # a config file's unknown or mistyped field
+        cfg = ExperimentConfig(**raw)
         cfg.validate()
-    except (ValueError, OSError, TypeError, json.JSONDecodeError) as exc:
-        print(f"invperm census: {exc}", file=sys.stderr)
-        return 2
-
-    if cfg.mode == "components":
-        report = run_component_census(cfg)
-        print(report.to_json(deterministic=False))
-        return 0 if report.passed else 1
-    if cfg.mode == "blocks":
-        report = run_block_census(cfg)
-        print(report.to_json(deterministic=False))
-        return 0 if report.passed else 1
-    if cfg.mode == "marked":
-        report = run_marked_vs_decomposition(cfg)
-        print(report.to_json(deterministic=False))
-        return 0 if report.inclusion_always else 1
-    report = run_monotonicity_check(cfg.n_max)
-    print(
-        json.dumps(
-            {
-                "n_max": report.n_max,
-                "nondecreasing_ok": report.nondecreasing_ok,
-                "domination_ok": report.domination_ok,
-                "totals_ok": report.totals_ok,
-                "p_indecomposable": {
-                    n: [str(p) for p in ps]
-                    for n, ps in report.p_indecomposable.items()
-                },
-            },
-            indent=2,
-        )
-    )
+    except TypeError as exc:
+        raise ValueError(exc) from exc
+    report = RUNNERS[cfg.mode](cfg)
+    print(report.to_json(deterministic=False))
     return 0 if report.passed else 1
 
 
@@ -280,16 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="Monte Carlo census runs")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--n", type=int)
-    p.add_argument(
-        "--mode", choices=("components", "blocks", "marked", "monotonicity")
-    )
-    p.add_argument("--mu", type=float, action="append")
-    p.add_argument("--m", type=int, action="append")
+    p.add_argument("--mode", choices=tuple(RUNNERS))
+    p.add_argument("--mu", type=float, action="append", dest="mu_list", metavar="MU")
+    p.add_argument("--m", type=int, action="append", dest="m_list", metavar="M")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p.add_argument("--out", help="directory for JSON/CSV reports")
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="directory for JSON/CSV reports"
+    )
     p.set_defaults(fn=_cmd_census)
 
     return parser
@@ -299,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"invperm {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,14 @@
 """Monte Carlo harness for the desk-scale limit-law experiments.
 
-Four modes: ``components`` (block-count distribution against its Poisson
-limit), ``blocks`` (smallest/largest block against the Exp/Gumbel
-limits), ``monotonicity`` (exact exhaustive small-n checks), and
-``marked`` (marked points of the composition model against true
-decomposition points).
+Four modes, each a runner in :data:`RUNNERS`: ``components`` (block-count
+distribution against its Poisson limit), ``blocks`` (smallest/largest
+block against the Exp/Gumbel limits), ``monotonicity`` (exact exhaustive
+small-n checks), and ``marked`` (marked points of the composition model
+against true decomposition points).
+
+Every runner returns a :class:`Report`, whose ``to_json`` serves all four,
+and saves it to ``out_dir`` when the config names one.  The two sampling
+censuses share one trial loop.
 
 Statistical pass tolerances live in :data:`TOLERANCES`.  They are
 empirical desk-scale anchors: the limit theorems carry error terms of
@@ -19,6 +23,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -29,11 +34,7 @@ import numpy as np
 from scipy import stats
 
 from .counting import max_inversions
-from .limits import (
-    REGIME_THRESHOLD,
-    classify_regime,
-    threshold_params,
-)
+from .limits import REGIME_THRESHOLD, threshold_params
 from .limits import alpha_for_mu as _alpha_for_mu
 from .limits import marked_points as _marked_points
 from .permutations import decomposition_points, inversion_sequence
@@ -59,7 +60,7 @@ class ExperimentConfig:
     """One census run: which law, at what size, how many trials."""
 
     n: int
-    mode: str  # components | blocks | monotonicity | marked
+    mode: str  # a key of RUNNERS
     trials: int = 1000
     seed: int = 0
     mu_list: list[float] | None = None
@@ -69,17 +70,18 @@ class ExperimentConfig:
     n_max: int = 8  # monotonicity mode only
 
     def resolved_points(self) -> list[tuple[float | None, int]]:
-        """(mu, m) pairs this config covers."""
+        """(mu, m) pairs this config covers; mu as a float however spelt,
+        so that ``0`` and ``0.0`` give the same report bytes."""
         points: list[tuple[float | None, int]] = []
         if self.mu_list is not None:
-            for mu in self.mu_list:
+            for mu in map(float, self.mu_list):
                 points.append((mu, _alpha_for_mu(self.n, mu)[1]))
         if self.m_list is not None:
             points.extend((None, m) for m in self.m_list)
         return points
 
     def validate(self) -> None:
-        if self.mode not in ("components", "blocks", "monotonicity", "marked"):
+        if self.mode not in RUNNERS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -87,8 +89,6 @@ class ExperimentConfig:
         if not 1 <= self.parallelism <= cpus:
             raise ValueError(f"parallelism must lie in 1..{cpus} (the CPU count)")
         if self.mode == "monotonicity":
-            if self.n_max > 9:
-                raise ValueError("monotonicity mode is exhaustive; n_max <= 9")
             return
         if self.n < 4:
             raise ValueError("censuses need n >= 4")
@@ -146,6 +146,48 @@ def tv_distance(hist, lam: float) -> float:
     )
 
 
+@dataclass(kw_only=True)
+class Report:
+    """Fields every census report carries, and its one JSON writer.
+
+    Each subclass also has a ``passed`` verdict, which sets the CLI's exit
+    code.
+    """
+
+    schema_version: int = SCHEMA_VERSION
+    n: int
+    trials: int
+    seed: int
+    wall_seconds: float = field(default=0.0, compare=False)
+
+    def to_json(self, deterministic: bool = True) -> str:
+        """Sorted, indented JSON without ``raw``; ``wall_seconds`` is left
+        out of the deterministic payload."""
+        payload = asdict(self)
+        payload.pop("raw", None)
+        if deterministic:
+            payload.pop("wall_seconds")
+        return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+
+
+def _jsonable(value):
+    """Dict keys as text before ``sort_keys`` (so ``"10"`` sorts before
+    ``"2"``), and fractions as ``"p/q"``."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _start(cfg: ExperimentConfig, mode: str) -> float:
+    """Check that cfg is valid and is for this mode; the start time."""
+    cfg.validate()
+    if cfg.mode != mode:
+        raise ValueError(f"config mode must be {mode!r}")
+    return time.time()
+
+
 # Worker-side state for parallel trials; rebuilt per process.
 _WORKER: dict = {}
 
@@ -156,50 +198,35 @@ def _worker_init(n: int, m: int, seed: int, key: int) -> None:
     _WORKER["key"] = key
 
 
-def _component_chunk(trial_range: tuple[int, int]) -> list[int]:
+def _trial_chunk(trial_range: tuple[int, int]) -> list[tuple[int, int, int, int, int]]:
+    """Per trial: the block count and the smallest, largest, first and last
+    block size (a summary, not the sizes, which number up to n per trial)."""
     sampler: SplitSampler = _WORKER["sampler"]
     out = []
     for trial in range(*trial_range):
         ctx = SamplerContext(None, _WORKER["seed"], (_WORKER["key"], trial))
-        out.append(len(decomposition_points(sampler.sample(ctx))))
-    return out
-
-
-def _block_chunk(trial_range: tuple[int, int]) -> list[tuple[int, int, int, int]]:
-    sampler: SplitSampler = _WORKER["sampler"]
-    n = sampler.n
-    out = []
-    for trial in range(*trial_range):
-        ctx = SamplerContext(None, _WORKER["seed"], (_WORKER["key"], trial))
-        cuts = decomposition_points(sampler.sample(ctx))
-        bounds = np.array([0] + cuts + [n])
-        sizes = np.diff(bounds)
+        sizes = np.diff([0, *decomposition_points(sampler.sample(ctx)), sampler.n])
         out.append(
-            (int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
+            (len(sizes), int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
         )
     return out
 
 
-def _run_trials(cfg: ExperimentConfig, m: int, key: int, chunk_fn):
+def _run_trials(cfg: ExperimentConfig, m: int, key: int):
     """Run cfg.trials trials, optionally across processes; order-stable."""
-    ranges = []
     step = max(1, math.ceil(cfg.trials / max(1, cfg.parallelism * 4)))
-    for lo in range(0, cfg.trials, step):
-        ranges.append((lo, min(cfg.trials, lo + step)))
+    ranges = [(lo, min(cfg.trials, lo + step)) for lo in range(0, cfg.trials, step)]
     if cfg.parallelism <= 1:
         _worker_init(cfg.n, m, cfg.seed, key)
-        chunks = [chunk_fn(r) for r in ranges]
+        chunks = [_trial_chunk(r) for r in ranges]
     else:
         with ProcessPoolExecutor(
             max_workers=cfg.parallelism,
             initializer=_worker_init,
             initargs=(cfg.n, m, cfg.seed, key),
         ) as pool:
-            chunks = list(pool.map(chunk_fn, ranges))
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+            chunks = list(pool.map(_trial_chunk, ranges))
+    return [row for chunk in chunks for row in chunk]
 
 
 @dataclass
@@ -219,65 +246,42 @@ class CensusPoint:
     tv_ok: bool
 
 
-@dataclass
-class ComponentCensusReport:
-    schema_version: int
-    n: int
-    trials: int
-    seed: int
+@dataclass(kw_only=True)
+class ComponentCensusReport(Report):
     tolerances: dict
     points: list[CensusPoint]
     passed: bool
-    wall_seconds: float = field(default=0.0, compare=False)
-
-    def to_json(self, deterministic: bool = True) -> str:
-        payload = asdict(self)
-        if deterministic:
-            payload.pop("wall_seconds")
-        payload["points"] = [
-            {**p, "histogram": {str(k): v for k, v in p["histogram"].items()}}
-            for p in payload["points"]
-        ]
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def run_component_census(cfg: ExperimentConfig) -> ComponentCensusReport:
     """Distribution of (block count - 1) against Poisson(n*h)."""
-    cfg.validate()
-    if cfg.mode != "components":
-        raise ValueError("config mode must be 'components'")
-    t0 = time.time()
+    t0 = _start(cfg, "components")
     points = []
     for key, (mu, m) in enumerate(cfg.resolved_points()):
-        regime = classify_regime(cfg.n, m)
         params = threshold_params(cfg.n, m)
-        values = np.array(_run_trials(cfg, m, key, _component_chunk))
-        hist: dict[int, int] = {}
-        for v in values:
-            hist[int(v)] = hist.get(int(v), 0) + 1
+        cuts = [row[0] - 1 for row in _run_trials(cfg, m, key)]
+        values = np.array(cuts)
+        hist = dict(sorted(Counter(cuts).items()))
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
         tv = tv_distance(hist, params.lam)
         gap = abs(mean - params.lam) / stderr if stderr > 0 else math.inf
-        mean_ok = gap <= TOLERANCES["component_mean_sigma"]
-        tv_ok = tv <= TOLERANCES["component_tv"]
         points.append(
             CensusPoint(
                 mu=mu,
                 m=m,
-                regime=regime,
+                regime=params.regime,
                 lam=params.lam,
-                histogram=dict(sorted(hist.items())),
+                histogram=hist,
                 mean=mean,
                 stderr=stderr,
                 mean_gap_sigma=gap,
                 tv=tv,
-                mean_ok=mean_ok,
-                tv_ok=tv_ok,
+                mean_ok=gap <= TOLERANCES["component_mean_sigma"],
+                tv_ok=tv <= TOLERANCES["component_tv"],
             )
         )
     report = ComponentCensusReport(
-        schema_version=SCHEMA_VERSION,
         n=cfg.n,
         trials=cfg.trials,
         seed=cfg.seed,
@@ -286,7 +290,7 @@ def run_component_census(cfg: ExperimentConfig) -> ComponentCensusReport:
         passed=all(p.mean_ok and p.tv_ok for p in points if p.regime == REGIME_THRESHOLD),
         wall_seconds=time.time() - t0,
     )
-    _maybe_write(cfg, report, "components")
+    _maybe_write(cfg, report)
     return report
 
 
@@ -305,24 +309,12 @@ class BlockCensusPoint:
     first_last_ok: bool
 
 
-@dataclass
-class BlockCensusReport:
-    schema_version: int
-    n: int
-    trials: int
-    seed: int
+@dataclass(kw_only=True)
+class BlockCensusReport(Report):
     tolerances: dict
     points: list[BlockCensusPoint]
     raw: dict[int, list[tuple[int, int, int, int]]]
     passed: bool
-    wall_seconds: float = field(default=0.0, compare=False)
-
-    def to_json(self, deterministic: bool = True) -> str:
-        payload = asdict(self)
-        if deterministic:
-            payload.pop("wall_seconds")
-        payload.pop("raw")
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
@@ -333,15 +325,12 @@ def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
     against the standard Gumbel, plus equidistribution of first and last
     block sizes (an exact symmetry).
     """
-    cfg.validate()
-    if cfg.mode != "blocks":
-        raise ValueError("config mode must be 'blocks'")
-    t0 = time.time()
+    t0 = _start(cfg, "blocks")
     points = []
     raw = {}
     for key, (mu, m) in enumerate(cfg.resolved_points()):
         params = threshold_params(cfg.n, m)
-        rows = _run_trials(cfg, m, key, _block_chunk)
+        rows = [row[1:] for row in _run_trials(cfg, m, key)]
         raw[m] = rows
         arr = np.array(rows, dtype=float)
         lmin, lmax, lfirst, llast = arr.T
@@ -366,7 +355,6 @@ def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
             )
         )
     report = BlockCensusReport(
-        schema_version=SCHEMA_VERSION,
         n=cfg.n,
         trials=cfg.trials,
         seed=cfg.seed,
@@ -378,7 +366,13 @@ def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
         ),
         wall_seconds=time.time() - t0,
     )
-    _maybe_write(cfg, report, "blocks")
+    stem = _maybe_write(cfg, report)
+    if stem is not None:
+        with open(stem + ".csv", "w") as fh:
+            fh.write("m,trial,l_min,l_max,l_first,l_last\n")
+            for m, rows in raw.items():
+                for trial, row in enumerate(rows):
+                    fh.write(f"{m},{trial}," + ",".join(map(str, row)) + "\n")
     return report
 
 
@@ -392,8 +386,11 @@ def indecomposable_counts(n_max: int) -> list[int]:
     return f[1:]
 
 
-@dataclass
-class MonotonicityReport:
+@dataclass(kw_only=True)
+class MonotonicityReport(Report):
+    """Exhaustive, so ``n`` is ``n_max``, ``trials`` counts the
+    permutations enumerated and ``seed`` is 0: nothing is drawn."""
+
     n_max: int
     p_indecomposable: dict[int, list[Fraction]]
     nondecreasing_ok: bool
@@ -414,9 +411,10 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
     stochastically ordered, and that indecomposable totals match the
     classical recurrence for f(n).
     """
-    if n_max > 9:
-        raise ValueError("exhaustive check limited to n_max <= 9")
-    expected_totals = indecomposable_counts(max(n_max, 1))
+    if not 2 <= n_max <= 9:
+        raise ValueError(f"the exhaustive check needs 2 <= n_max <= 9; got {n_max}")
+    t0 = time.time()
+    expected_totals = indecomposable_counts(n_max)
     p_table: dict[int, list[Fraction]] = {}
     nondec = True
     dominated = True
@@ -450,33 +448,37 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
         total_indecomposable = sum(h.get(1, 0) for h in block_hist)
         totals_ok &= total_indecomposable == expected_totals[n - 1]
     return MonotonicityReport(
+        n=n_max,
+        trials=sum(factorial(n) for n in range(2, n_max + 1)),
+        seed=0,
         n_max=n_max,
         p_indecomposable=p_table,
         nondecreasing_ok=nondec,
         domination_ok=dominated,
         totals_ok=totals_ok,
+        wall_seconds=time.time() - t0,
     )
 
 
-@dataclass
-class MarkedReport:
-    schema_version: int
-    n: int
+def _monotonicity_census(cfg: ExperimentConfig) -> MonotonicityReport:
+    _start(cfg, "monotonicity")
+    report = run_monotonicity_check(cfg.n_max)
+    _maybe_write(cfg, report)
+    return report
+
+
+@dataclass(kw_only=True)
+class MarkedReport(Report):
     m: int
     mu: float | None
     nu: int
-    trials: int
-    seed: int
     agreement_frequency: float
     inclusion_always: bool
     close_pair_frequency: float
-    wall_seconds: float = field(default=0.0, compare=False)
 
-    def to_json(self, deterministic: bool = True) -> str:
-        payload = asdict(self)
-        if deterministic:
-            payload.pop("wall_seconds")
-        return json.dumps(payload, sort_keys=True, indent=2)
+    @property
+    def passed(self) -> bool:
+        return self.inclusion_always
 
 
 def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
@@ -489,14 +491,10 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
     inclusion (every early-enough decomposition point is marked) is a
     theorem and is checked on every trial.
     """
-    cfg.validate()
-    if cfg.mode != "marked":
-        raise ValueError("config mode must be 'marked'")
+    t0 = _start(cfg, "marked")
     [(mu, m)] = cfg.resolved_points()
-    params = threshold_params(cfg.n, m)
-    nu = params.nu
+    nu = threshold_params(cfg.n, m).nu
     parts = cfg.n - nu
-    t0 = time.time()
     agree = 0
     close = 0
     inclusion = True
@@ -511,7 +509,6 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
         gaps = np.diff(marked)
         close += bool(len(gaps) and gaps.min() <= nu)
     report = MarkedReport(
-        schema_version=SCHEMA_VERSION,
         n=cfg.n,
         m=m,
         mu=mu,
@@ -523,21 +520,27 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
         close_pair_frequency=close / cfg.trials,
         wall_seconds=time.time() - t0,
     )
-    _maybe_write(cfg, report, "marked")
+    _maybe_write(cfg, report)
     return report
 
 
-def _maybe_write(cfg: ExperimentConfig, report, name: str) -> None:
+def _maybe_write(cfg: ExperimentConfig, report: Report) -> str | None:
+    """Write the report to ``<out_dir>/<mode>_n<n>_seed<seed>.json``, n and
+    seed as the report states them; return that path without its suffix,
+    or None without an ``out_dir``."""
     if cfg.out_dir is None:
-        return
+        return None
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"{name}_n{cfg.n}_seed{cfg.seed}.json")
-    with open(path, "w") as fh:
+    stem = os.path.join(cfg.out_dir, f"{cfg.mode}_n{report.n}_seed{report.seed}")
+    with open(stem + ".json", "w") as fh:
         fh.write(report.to_json(deterministic=False))
-    if name == "blocks" and isinstance(report, BlockCensusReport):
-        csv_path = os.path.join(cfg.out_dir, f"{name}_n{cfg.n}_seed{cfg.seed}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("m,trial,l_min,l_max,l_first,l_last\n")
-            for m, rows in report.raw.items():
-                for trial, row in enumerate(rows):
-                    fh.write(f"{m},{trial}," + ",".join(map(str, row)) + "\n")
+    return stem
+
+
+#: The census modes, each with its runner: the one list of modes.
+RUNNERS = {
+    "components": run_component_census,
+    "blocks": run_block_census,
+    "marked": run_marked_vs_decomposition,
+    "monotonicity": _monotonicity_census,
+}

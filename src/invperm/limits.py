@@ -121,6 +121,8 @@ def alpha_for_mu(n: int, mu: float) -> tuple[float, int]:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite; got {mu}")
     log_n = math.log(n)
     alpha = (6.0 / math.pi**2) * (
         log_n

@@ -188,10 +188,15 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "census", "--config", str(bad))
     assert code == 2
 
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"n": 60, "mode": "components", "bogus": 1}))
-    code, _, err = run_cli(capsys, "census", "--config", str(unknown))
-    assert code == 2
+    for name, cfg in [
+        ("unknown", {"n": 60, "mode": "components", "bogus": 1}),
+        ("list", [60, "components"]),
+        ("mistyped", {"n": 60, "mode": "components", "m_list": [100], "trials": "x"}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "census", "--config", str(path))
+        assert code == 2 and out == "" and err.startswith("invperm census: ")
 
 
 @pytest.mark.parametrize(
@@ -210,6 +215,11 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
         "table --max-n 100000 --out F",
         "census --n 60",
         "census --config missing.json",
+        "params --n 1000 --mu inf",
+        "params --n 1000 --mu nan",
+        "census --n 1000 --mode components --mu inf --trials 2",
+        "table --max-n 5 --out no/such/dir/x",
+        "census --mode monotonicity --n 5 --n-max 1",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path, monkeypatch):
@@ -270,3 +280,36 @@ def test_census_monotonicity_mode(capsys):
     payload = json.loads(out)
     assert payload["nondecreasing_ok"] and payload["domination_ok"]
     assert payload["p_indecomposable"]["3"] == ["0", "0", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        ("components --n 60 --m 100 --m 1700 --trials 40 --seed 3", ["components_n60_seed3"]),
+        ("blocks --n 4000 --mu -2.5 --trials 25 --seed 1", ["blocks_n4000_seed1", ".csv"]),
+        ("marked --n 20000 --mu -2 --trials 10 --seed 3", ["marked_n20000_seed3"]),
+        ("monotonicity --n 5 --n-max 4", ["monotonicity_n4_seed0"]),
+    ],
+)
+def test_census_exit_code_and_report_files_in_every_mode(argv, files, capsys, tmp_path):
+    """Exit 0 exactly when the report passed; --out writes the report (and
+    the blocks CSV) under <mode>_n<n>_seed<seed>, n and seed as reported:
+    the exhaustive monotonicity check reports n = n_max and seed 0."""
+    from dataclasses import fields
+
+    from invperm.cli import build_parser
+    from invperm.experiments import RUNNERS, ExperimentConfig
+
+    words = ["census", "--mode", *argv.split()]
+    code, out, _ = run_cli(capsys, *words, "--out", str(tmp_path))
+    args = vars(build_parser().parse_args(words))
+    report = RUNNERS[args["mode"]](
+        ExperimentConfig(**{f.name: args[f.name] for f in fields(ExperimentConfig)})
+    )
+    assert code == (0 if report.passed else 1)
+    stem, *others = files
+    assert sorted(f.name for f in tmp_path.iterdir()) == [stem + ext for ext in (*others, ".json")]
+    written = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert written == json.loads(out)
+    written.pop("wall_seconds")
+    assert written == json.loads(report.to_json())

@@ -10,6 +10,7 @@ from scipy import stats
 from invperm.counting import build_table, max_inversions
 from invperm.coupling import BetaTable, run_chain
 from invperm.experiments import (
+    RUNNERS,
     ExperimentConfig,
     indecomposable_counts,
     run_block_census,
@@ -68,8 +69,9 @@ def test_monotonicity_small_exact_values():
 
 
 def test_monotonicity_check_guard():
-    with pytest.raises(ValueError):
-        run_monotonicity_check(10)
+    for n_max in (10, 1, 0, -3):
+        with pytest.raises(ValueError, match="2 <= n_max <= 9"):
+            run_monotonicity_check(n_max)
 
 
 def test_monotonicity_through_n6():
@@ -114,6 +116,38 @@ def test_component_census_determinism_and_parallel_merge():
     assert r1.to_json() == r3.to_json()
 
 
+def test_component_census_calls_the_hooks_the_benchmark_wraps(monkeypatch):
+    """The benchmark's tracer and timer replace these module globals; the
+    census must call them through the module, once per point and once per
+    trial."""
+    from invperm import experiments
+
+    calls = {"_worker_init": 0, "decomposition_points": 0}
+    for name in calls:
+        original = getattr(experiments, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(experiments, name, spy)
+    run_component_census(_component_cfg(n=80, trials=7, mu_list=[-1.0, 0.0]))
+    assert calls == {"_worker_init": 2, "decomposition_points": 14}
+
+
+@pytest.mark.parametrize(
+    "mode,n,mus", [("components", 120, [-1, 0]), ("marked", 20_000, [-2])]
+)
+def test_mu_spelling_does_not_change_report_bytes(mode, n, mus):
+    def payload(mu_list):
+        cfg = ExperimentConfig(n=n, mode=mode, trials=8, seed=4, mu_list=mu_list)
+        return RUNNERS[mode](cfg).to_json()
+
+    as_int = payload(mus)
+    assert as_int == payload([float(mu) for mu in mus])
+    assert f'"mu": {float(mus[-1])}' in as_int
+
+
 def test_block_census_guard_rejects_near_threshold():
     cfg = ExperimentConfig(n=5000, mode="blocks", trials=10, mu_list=[0.0])
     with pytest.raises(ValueError, match="mu <= -2"):
@@ -142,6 +176,22 @@ def test_block_census_small_run():
         sizes = np.diff([0] + cuts + [4000])
         assert sizes.sum() == 4000
         assert (int(sizes.min()), int(sizes.max())) == rows[trial][:2]
+
+
+def test_block_census_parallel_merge_is_byte_identical():
+    def cfg(parallelism):
+        return ExperimentConfig(
+            n=4000,
+            mode="blocks",
+            trials=30,
+            seed=13,
+            mu_list=[-2.5, -3.0],
+            parallelism=parallelism,
+        )
+
+    serial, parallel = run_block_census(cfg(1)), run_block_census(cfg(2))
+    assert serial.to_json() == parallel.to_json()
+    assert serial.raw == parallel.raw
 
 
 def test_marked_census_runs_and_inclusion_holds():
