@@ -166,11 +166,13 @@ def _cmd_census(args) -> int:
         version = raw.pop("schema_version", 1)
         if version != 1:
             raise ValueError(f"unsupported config schema version {version}")
-    elif args.n is None or args.mode is None:
+    elif args.mode is None or (args.n is None and args.mode != "monotonicity"):
         raise ValueError("need --config or (--n and --mode)")
     else:
         # each census flag's dest is the ExperimentConfig field it sets
         raw = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+        if raw["n"] is None:  # the exhaustive check's report states n = n_max
+            raw["n"] = args.n_max
     try:  # a config file's unknown or mistyped field
         cfg = ExperimentConfig(**raw)
         cfg.validate()

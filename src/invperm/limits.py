@@ -9,7 +9,9 @@ truncated product to have converged.
 
 Those are n -> infinity laws.  The ``finite_n_*`` functions give the exact
 law at finite n, up to double-precision rounding, as a reference for
-Monte Carlo censuses: see :func:`finite_n_cut_law`.
+Monte Carlo censuses: see :func:`finite_n_cut_law`.  They use numpy and
+``math`` alone (the saddle point by safeguarded Newton, FFTs at 5-smooth
+lengths).
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.optimize import brentq
 
 from .counting import max_inversions
 
@@ -179,7 +179,9 @@ def boltzmann_saddle(n: int, m: int) -> float:
 
     Solves sum_{i<=n} (x/(1-x) - i x^i/(1-x^i)) = m.  Only
     0 <= 2m <= C(n,2) is accepted; x runs from 0 (m = 0) to 1
-    (2m = C(n,2)).
+    (2m = C(n,2)).  Safeguarded Newton finds u = log t, x = e^-t, in
+    [-20, 4]; a root outside (m just below C(n,2)/2 at large n) raises
+    ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -190,11 +192,28 @@ def boltzmann_saddle(n: int, m: int) -> float:
         return 0.0
     if 2 * m == top:
         return 1.0
-    # solve for log t, t = -log x
-    log_t = brentq(
-        lambda u: _boltzmann_moments(n, math.exp(u))[0] - m, -20.0, 4.0, xtol=1e-13
-    )
-    return math.exp(-math.exp(log_t))
+
+    def excess(u: float) -> tuple[float, float]:  # mean - m, d/du at t = e^u
+        mean, var = _boltzmann_moments(n, math.exp(u))
+        return mean - m, -math.exp(u) * var
+
+    lo, hi = -20.0, 4.0
+    if not excess(lo)[0] > 0.0 > excess(hi)[0]:
+        raise ValueError(f"(n, m) = ({n}, {m}): saddle point outside log t in [-20, 4]")
+    # Newton in u; a step that leaves the shrinking bracket, or fails to
+    # halve the previous step, is a bisection (48 of them reach 1e-13)
+    u, step = 0.5 * (lo + hi), hi - lo
+    for _ in range(100):
+        f, slope = excess(u)
+        new = u - f / slope
+        if abs(new - u) > 1e-13:
+            lo, hi = (u, hi) if f > 0.0 else (lo, u)
+            if not (lo < new < hi and 2.0 * abs(new - u) <= abs(step)):
+                new = 0.5 * (lo + hi)
+        step, u = new - u, new
+        if abs(step) <= 1e-13:
+            return math.exp(-math.exp(u))
+    raise RuntimeError(f"saddle solve for (n, m) = ({n}, {m}) did not converge")
 
 
 def _contour_nodes(n: int, m: int, contour: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +245,19 @@ def _contour_nodes(n: int, m: int, contour: bool) -> tuple[np.ndarray, np.ndarra
     return y, np.exp(log_w - log_w.real.max())
 
 
+def _fast_length(k: int) -> int:
+    """Smallest 2^a 3^b 5^c >= k, a length the FFT handles fast."""
+    best = 1 << (k - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-k // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _transforms(real: bool, length: int):
     """Forward and inverse FFT of ``length`` points."""
     if real:
@@ -237,7 +269,7 @@ def _series_mul(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
     """First ``size`` coefficients of the product of power series a, b."""
     a, b = a[:size], b[:size]
     real = np.isrealobj(a) and np.isrealobj(b)
-    length = next_fast_len(len(a) + len(b) - 1, real)
+    length = _fast_length(len(a) + len(b) - 1)
     fwd, inv = _transforms(real, length)
     return inv(fwd(a, length) * fwd(b, length))[:size]
 
@@ -282,7 +314,7 @@ def _top_of_powers(f: np.ndarray, kmax: int) -> np.ndarray:
     and a giant step.
     """
     n = len(f) - 1
-    length = next_fast_len(2 * n + 1, np.isrealobj(f))
+    length = _fast_length(2 * n + 1)
     fwd, inv = _transforms(np.isrealobj(f), length)
 
     def times(a, b_hat):

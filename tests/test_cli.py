@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,25 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "census", "--config", str(path))
         assert code == 2 and out == "" and err.startswith("invperm census: ")
 
+    # each mistyped field is named on one line, before anything runs
+    for field, value in [
+        ("seed", "x"),
+        ("trials", 2.5),
+        ("out_dir", 5),
+        ("m_list", ["100"]),
+        ("trials", True),
+        ("parallelism", 1.0),
+        ("n", None),
+        ("mu_list", [True]),
+    ]:
+        cfg = {"n": 60, "mode": "components", "m_list": [100], field: value}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "census", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"invperm census: {field} must be ")
+        assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -280,6 +303,27 @@ def test_census_monotonicity_mode(capsys):
     payload = json.loads(out)
     assert payload["nondecreasing_ok"] and payload["domination_ok"]
     assert payload["p_indecomposable"]["3"] == ["0", "0", "1", "1"]
+
+    # the exhaustive check needs no --n; the report states n = n_max
+    code, out, _ = run_cli(capsys, "census", "--mode", "monotonicity", "--n-max", "5")
+    assert code == 0 and json.loads(out)["n"] == 5
+
+
+def test_runtime_imports_no_scipy():
+    """The package and its CLI load numpy alone: scipy is a test-only
+    dependency."""
+    import invperm
+
+    src = str(Path(invperm.__file__).resolve().parents[1])
+    code = (
+        "import sys, invperm, invperm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ from invperm.experiments import (
     run_component_census,
     run_marked_vs_decomposition,
     run_monotonicity_check,
+    _ks_2samp_pvalue,
+    _ks_distance,
     tv_distance,
 )
-from invperm.limits import alpha_for_mu
+from invperm.limits import alpha_for_mu, threshold_params
 from invperm.permutations import decomposition_points
 from invperm.rng import SamplerContext
 from invperm.sampling import SplitSampler
@@ -42,6 +45,94 @@ def test_tv_distance_empirical_poisson():
     draws = rng.poisson(2.0, size=1_000_000)
     hist = np.bincount(draws)
     assert tv_distance(hist, 2.0) <= 0.005
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 80.0])
+def test_tv_distance_equals_scipy_poisson(lam):
+    """pmf and tail mass from lgamma agree with scipy's Poisson, also for
+    histograms that stop before the Poisson tail."""
+    rng = np.random.default_rng(int(lam * 100))
+    for length in sorted({1, 2, int(lam / 2) + 1, int(lam) + 1, int(3 * lam) + 10, 200}):
+        counts = rng.integers(0, 40, size=length)
+        counts[0] += 1
+        k = np.arange(length)
+        expected = 0.5 * float(
+            np.abs(counts / counts.sum() - stats.poisson.pmf(k, lam)).sum()
+        ) + 0.5 * float(stats.poisson.sf(length - 1, lam))
+        assert tv_distance(counts, lam) == pytest.approx(expected, abs=1e-12)
+        as_dict = {int(j): int(c) for j, c in enumerate(counts) if c}
+        assert tv_distance(as_dict, lam) == pytest.approx(expected, abs=1e-12)
+
+
+def test_ks_distances_equal_scipy_kstest():
+    rng = np.random.default_rng(11)
+    for size in (1, 7, 60, 2000):
+        u = rng.exponential(size=size) * rng.uniform(0.5, 1.5)
+        v = rng.gumbel(size=size) + rng.normal(0.0, 0.3)
+        ours = _ks_distance(u, lambda x: -np.expm1(-x))
+        assert ours == pytest.approx(stats.kstest(u, "expon").statistic, abs=1e-12)
+        ours = _ks_distance(v, lambda x: np.exp(-np.exp(-x)))
+        assert ours == pytest.approx(stats.kstest(v, "gumbel_r").statistic, abs=1e-12)
+
+
+def _exact_ks_2samp_pvalue(n: int, h: int) -> float:
+    """2 sum_{j>=1} (-1)^(j-1) C(2n, n-jh) / C(2n, n) in exact rationals."""
+    total = sum(
+        (-1) ** (j - 1) * math.comb(2 * n, n - j * h) for j in range(1, n // h + 1)
+    )
+    return float(F(2 * total, math.comb(2 * n, n)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 50, 2000, 10_000])
+def test_two_sample_pvalue_equals_scipy_exact_method(n):
+    """Bit-identical to ks_2samp wherever scipy's exact method succeeds.
+    Where its Horner sum rounds above 1 (h <= 2, true p = 1 up to 1e-16)
+    scipy falls back to an asymptotic p; there the exact sum is the
+    reference."""
+    rng = np.random.default_rng(n)
+    same = rng.geometric(0.3, size=n)
+    cases = [(same, same.copy())]  # h = 0
+    for p in (0.05, 0.3, 0.8):  # geometric samples: heavy ties
+        cases.append((rng.geometric(p, size=n), rng.geometric(p, size=n)))
+        cases.append((rng.geometric(p, size=n), rng.geometric(0.9 * p, size=n)))
+    cases.append((rng.normal(size=n), rng.normal(0.1, 1.0, size=n)))
+    exact = 0
+    for a, b in cases:
+        ours = _ks_2samp_pvalue(a, b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            theirs = stats.ks_2samp(a, b)
+        if not caught:
+            exact += 1
+            assert ours == float(theirs.pvalue)
+        else:
+            h = round(float(theirs.statistic) * n)
+            assert ours == pytest.approx(min(1.0, _exact_ks_2samp_pvalue(n, h)), abs=1e-12)
+    assert _ks_2samp_pvalue(same, same) == 1.0
+    assert exact >= len(cases) // 2
+
+
+def test_two_sample_pvalue_matches_exact_sum_for_every_h():
+    for n in range(1, 40):
+        base = np.arange(n)
+        for h in range(1, n + 1):
+            expected = min(1.0, _exact_ks_2samp_pvalue(n, h))
+            assert _ks_2samp_pvalue(base, base + h - 0.5) == pytest.approx(expected, abs=1e-12)
+
+
+def test_block_census_statistics_equal_scipy():
+    cfg = ExperimentConfig(n=10_000, mode="blocks", trials=60, seed=5, mu_list=[-3.0, -2.5])
+    report = run_block_census(cfg)
+    for point in report.points:
+        h = threshold_params(cfg.n, point.m).h
+        lmin, lmax, lfirst, llast = np.array(report.raw[point.m], dtype=float).T
+        u = lmin * cfg.n * h**2
+        v = h * lmax - math.log(cfg.n * h)
+        assert point.ks_min_exp == pytest.approx(stats.kstest(u, "expon").statistic, abs=1e-12)
+        assert point.ks_max_gumbel == pytest.approx(
+            stats.kstest(v, "gumbel_r").statistic, abs=1e-12
+        )
+        assert point.first_last_pvalue == float(stats.ks_2samp(lfirst, llast).pvalue)
 
 
 def test_tv_distance_errors():

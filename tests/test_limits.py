@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.optimize import brentq
 
 from invperm.counting import build_table, expected_cuts, max_inversions
 from invperm.limits import (
     REGIME_ALWAYS_DECOMPOSABLE,
     REGIME_ALWAYS_INDECOMPOSABLE,
     REGIME_THRESHOLD,
+    _boltzmann_moments,
+    _fast_length,
     alpha_for_mu,
     boltzmann_saddle,
     euler_h,
@@ -255,6 +259,41 @@ def test_boltzmann_saddle_solves_mean_equation():
             boltzmann_saddle(8, m)
     with pytest.raises(ValueError):
         finite_n_cut_law(8, 15)
+
+
+def _brentq_saddle(n: int, m: int) -> float:
+    """The saddle point by scipy's brentq on the same bracket in log t."""
+    log_t = brentq(
+        lambda u: _boltzmann_moments(n, math.exp(u))[0] - m, -20.0, 4.0, xtol=1e-13
+    )
+    return math.exp(-math.exp(log_t))
+
+
+def test_boltzmann_saddle_equals_brentq():
+    """Within 1e-12 of brentq on an (n, m) grid, and a ValueError wherever
+    brentq finds no root in the bracket (just below C(n,2)/2 at large n)."""
+    raised = 0
+    for n in (3, 4, 10, 57, 600, 3000, 10**4, 10**5, 10**6):
+        top = max_inversions(n)
+        grid = {1, n - 1, round(0.6 * n * math.log(n)), top // 8, top // 4, top // 2 - 1}
+        if n <= 10**5:
+            grid |= {2, top // 2 - 60, top // 2 - 58, top // 2 - 57}
+        for m in sorted(v for v in grid if 0 < 2 * v < top):
+            try:
+                expected = _brentq_saddle(n, m)
+            except ValueError:
+                raised += 1
+                with pytest.raises(ValueError, match="outside"):
+                    boltzmann_saddle(n, m)
+            else:
+                assert abs(boltzmann_saddle(n, m) - expected) <= 1e-12
+    assert raised >= 5
+    with pytest.raises(ValueError):
+        boltzmann_saddle(10**4, 24_997_499)
+
+
+def test_fast_length_equals_next_fast_len():
+    assert all(_fast_length(k) == next_fast_len(k, True) for k in range(1, 20_000))
 
 
 def test_finite_n_laws_match_exhaustive_enumeration():
