@@ -171,8 +171,6 @@ def _cmd_census(args) -> int:
     else:
         # each census flag's dest is the ExperimentConfig field it sets
         raw = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
-        if raw["n"] is None:  # the exhaustive check's report states n = n_max
-            raw["n"] = args.n_max
     try:  # a config file's unknown or mistyped field
         cfg = ExperimentConfig(**raw)
         cfg.validate()

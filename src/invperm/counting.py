@@ -80,6 +80,41 @@ class InversionTable:
             return map(row.__getitem__, range(first, last + 1))
         return map(row.__getitem__, range(first, last - 1, -1))
 
+    def unrank(self, n: int, m: int, u: int) -> list[int]:
+        """The inversion sequence of [n] with sum m whose rank is u.
+
+        The last coordinate is j for the s(n-1, m-j) values of u from
+        sum_{j'<j} s(n-1, m-j') on, j running up from 0; u minus that
+        offset ranks the other coordinates with budget m - j, level by
+        level, so u in [0, s(n, m)) maps one to one onto the sequences.
+        The j with m - j > C(n-1, 2) have empty blocks, so each level
+        reads row n-1 downward from min(m, C(n-1, 2)) in one pass.  A u
+        outside [0, s(n, m)) and an (n, m) not stored raise ``ValueError``.
+        """
+        total = self.count(n, m)
+        if not 0 <= u < total:
+            raise ValueError(f"rank {u} outside [0, s({n},{m})) = [0, {total})")
+        rows = self._rows
+        x = [0] * n
+        budget = m
+        level = n
+        while budget:
+            # k = budget - j indexes row level-1; it starts at
+            # min(budget, C(level-1, 2)), spelt without a min() call
+            k = (level - 1) * (level - 2) // 2
+            if k > budget:
+                k = budget
+            row = rows[level - 1]
+            w = row[k]
+            while u >= w:
+                u -= w
+                k -= 1
+                w = row[k]
+            level -= 1
+            x[level] = budget - k
+            budget = k
+        return x
+
     def covers(self, n: int, m: int) -> bool:
         """True when s(n', m') is stored for all n' <= n, m' <= m."""
         return n <= self.max_n and (self.m_cap is None or m <= self.m_cap)

@@ -58,11 +58,11 @@ TOLERANCES = {
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
     """One census run: which law, at what size, how many trials."""
 
-    n: int
+    n: int | None = None  # required, except in monotonicity mode (n_max)
     mode: str  # a key of RUNNERS
     trials: int = 1000
     seed: int = 0
@@ -71,6 +71,10 @@ class ExperimentConfig:
     parallelism: int = 1
     out_dir: str | None = None
     n_max: int = 8  # monotonicity mode only
+
+    def __post_init__(self) -> None:
+        if self.n is None and self.mode == "monotonicity":
+            self.n = self.n_max  # the exhaustive check's report states n = n_max
 
     def resolved_points(self) -> list[tuple[float | None, int]]:
         """(mu, m) pairs this config covers; mu as a float however spelt,

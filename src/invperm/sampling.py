@@ -2,13 +2,14 @@
 
 Two engines, both exactly uniform on the target set:
 
-* ``sample_inversion_sequence`` unranks one uniform big integer u below
-  s(n, m): the last coordinate is the j whose block of s(n-1, m-j)
-  values holds u, and the offset of u in that block ranks the rest, so
-  each j has probability s(n-1, m-j)/s(n, m) and the map from u to
-  sequences is a bijection.  One exact draw per walk, no rounding bias.
-  Budgets above half the maximum are reflected through
-  x_i -> (i-1) - x_i first, halving the table columns needed.
+* ``sample_inversion_sequence`` draws one uniform big integer u below
+  s(n, m) and maps it to a sequence with ``InversionTable.unrank``: the
+  last coordinate is the j whose block of s(n-1, m-j) values holds u,
+  and the offset of u in that block ranks the rest, so each j has
+  probability s(n-1, m-j)/s(n, m) and the map from u to sequences is a
+  bijection.  One exact draw per walk, no rounding bias.  Budgets above
+  half the maximum are reflected through x_i -> (i-1) - x_i first,
+  halving the table columns needed.
 
 * ``SplitSampler`` handles sizes where the table is out of reach.  It
   splits the sequence into a short truncated head (where the bounds
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import InversionTable, build_table, max_inversions
+from .counting import build_table, max_inversions
 from .rng import SamplerContext
 
 # slots of the boolean mask ``sample_composition`` allocates (one byte each)
@@ -35,45 +36,6 @@ MAX_COMPOSITION_SLOTS = 1 << 28
 # consecutive rejected proposals after which ``SplitSampler.sample`` gives
 # up; the default head size rejects about one proposal in a hundred
 MAX_RESTARTS = 10_000
-
-
-def _draw_last_coordinate(
-    table: InversionTable, level: int, budget: int, u: int
-) -> tuple[int, int]:
-    """Unrank one level: map u in [0, s(level, budget)) to (j, rest).
-
-    Outcome j takes the s(level-1, budget-j) values of u from
-    offset_j = sum_{j'<j} s(level-1, budget-j') on, walking j up from 0.
-    rest = u - offset_j lies in [0, s(level-1, budget-j)) and ranks the
-    remaining coordinates, so the map is a bijection.  The buckets with
-    budget - j > C(level-1, 2) are empty, so the scan starts past them
-    and reads the rest of row level-1 in one descending pass.
-    """
-    # j runs from max(0, budget - C(level-1, 2)) to min(level-1, budget),
-    # spelt without max/min calls, which cost a measurable share per level
-    j = budget - (level - 1) * (level - 2) // 2
-    j = j if j > 0 else 0
-    last = budget - level + 1
-    for w in table.counts(level - 1, budget - j, last if last > 0 else 0):
-        if u < w:
-            return j, u
-        u -= w
-        j += 1
-    raise AssertionError("draw exceeded row total")  # pragma: no cover
-
-
-def _sample_direct(n: int, m: int, ctx: SamplerContext) -> list[int]:
-    table = ctx.table
-    x = [0] * n
-    budget = m
-    u = ctx.uniform_below(table.count(n, m))
-    for level in range(n, 0, -1):
-        if budget == 0:
-            break
-        j, u = _draw_last_coordinate(table, level, budget, u)
-        x[level - 1] = j
-        budget -= j
-    return x
 
 
 def reflect_sequence(x: Sequence[int]) -> list[int]:
@@ -88,11 +50,12 @@ def sample_inversion_sequence(n: int, m: int, ctx: SamplerContext) -> list[int]:
     total = max_inversions(n)
     if not 0 <= m <= total:
         raise ValueError(f"m={m} outside 0..{total}")
-    if ctx.table is None or not ctx.table.covers(n, min(m, total - m)):
+    table = ctx.table
+    work = min(m, total - m)
+    if table is None or not table.covers(n, work):
         raise ValueError("context table does not cover the requested size")
-    if 2 * m > total:
-        return reflect_sequence(_sample_direct(n, total - m, ctx))
-    return _sample_direct(n, m, ctx)
+    x = table.unrank(n, work, ctx.uniform_below(table.count(n, work)))
+    return x if work == m else reflect_sequence(x)
 
 
 def sample_composition(parts: int, total: int, ctx: SamplerContext) -> np.ndarray:

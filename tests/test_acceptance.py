@@ -394,8 +394,6 @@ def test_criterion_8_sampler_correctness():
     table = build_table(6)
     # symbolic: the sampler's per-coordinate preimage counts make every
     # outcome probability telescope to exactly 1/s(n,m)
-    from invperm.sampling import _draw_last_coordinate
-
     for n in range(2, 7):
         for m in range(max_inversions(n) + 1):
             for x in enumerate_inversion_sequences(n, m):
@@ -410,7 +408,7 @@ def test_criterion_8_sampler_correctness():
                     u_count = 0
                     total = table.count(level, budget)
                     for u in range(total):
-                        if _draw_last_coordinate(table, level, budget, u)[0] == work[level - 1]:
+                        if table.unrank(level, budget, u)[level - 1] == work[level - 1]:
                             u_count += 1
                     prob *= F(u_count, total)
                     budget -= work[level - 1]

@@ -295,7 +295,7 @@ def test_census_config_with_head_size_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "head_size" in err
 
 
-def test_census_monotonicity_mode(capsys):
+def test_census_monotonicity_mode(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "census", "--mode", "monotonicity", "--n", "5", "--n-max", "5"
     )
@@ -307,6 +307,12 @@ def test_census_monotonicity_mode(capsys):
     # the exhaustive check needs no --n; the report states n = n_max
     code, out, _ = run_cli(capsys, "census", "--mode", "monotonicity", "--n-max", "5")
     assert code == 0 and json.loads(out)["n"] == 5
+
+    # nor does a config file
+    path = tmp_path / "mono.json"
+    path.write_text(json.dumps({"mode": "monotonicity", "n_max": 5}))
+    code, out, err = run_cli(capsys, "census", "--config", str(path))
+    assert code == 0 and err == "" and json.loads(out)["n"] == 5
 
 
 def test_runtime_imports_no_scipy():

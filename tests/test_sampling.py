@@ -15,7 +15,6 @@ from invperm import sampling
 from invperm.rng import SamplerContext
 from invperm.sampling import (
     SplitSampler,
-    _draw_last_coordinate,
     default_head_size,
     reflect_sequence,
     sample_composition,
@@ -38,8 +37,7 @@ def test_draw_preimage_counts_are_exact():
         for budget in range(max_inversions(level) + 1):
             total = TABLE.count(level, budget)
             hits = Counter(
-                _draw_last_coordinate(TABLE, level, budget, u)[0]
-                for u in range(total)
+                TABLE.unrank(level, budget, u)[level - 1] for u in range(total)
             )
             for j in range(min(level - 1, budget) + 1):
                 assert hits[j] == TABLE.count(level - 1, budget - j)
@@ -55,9 +53,23 @@ def _reference_last_coordinate(table, level, budget, u):
     raise AssertionError("draw exceeded row total")
 
 
+def _reference_unrank(table, n, m, u):
+    """The whole walk, each level through ``_reference_last_coordinate``."""
+    x = [0] * n
+    budget = m
+    for level in range(n, 0, -1):
+        if budget == 0:
+            break
+        j, u = _reference_last_coordinate(table, level, budget, u)
+        x[level - 1] = j
+        budget -= j
+    return x
+
+
 def test_draw_matches_count_based_scan_on_capped_table():
-    """On a capped table the scan starts at j_min = budget - C(level-1, 2)
-    when that is positive, and must still agree with the plain scan."""
+    """On a capped table each level's scan starts at j_min =
+    budget - C(level-1, 2) when that is positive, and the whole walk must
+    still agree with the plain scan chained level by level."""
     table = build_table(60, m_cap=400)
     rng = np.random.default_rng(8)
     skipped = 0
@@ -72,10 +84,28 @@ def test_draw_matches_count_based_scan_on_capped_table():
             us.update(int(v) for v in rng.integers(0, min(total, 2**62), 5))
             skipped += budget > below
             for u in us:
-                assert _draw_last_coordinate(
+                assert table.unrank(level, budget, u) == _reference_unrank(
                     table, level, budget, u
-                ) == _reference_last_coordinate(table, level, budget, u)
+                )
     assert skipped >= 5
+
+
+def test_unrank_rejects_ranks_and_sizes_outside_the_table():
+    """A rank outside [0, s(n, m)) and a budget past a capped table's cap
+    raise instead of wrapping to a negative row index."""
+    for n, m in [(1, 0), (6, 7), (12, 0), (12, 66)]:
+        total = TABLE.count(n, m)
+        for u in (-1, total):
+            with pytest.raises(ValueError):
+                TABLE.unrank(n, m, u)
+    with pytest.raises(ValueError):
+        TABLE.unrank(6, 16, 0)  # past C(6, 2): s(6, 16) = 0
+    with pytest.raises(ValueError):
+        TABLE.unrank(13, 0, 0)  # past max_n
+    capped = build_table(60, m_cap=400)
+    assert sum(capped.unrank(60, 400, capped.count(60, 400) - 1)) == 400
+    with pytest.raises(ValueError):
+        capped.unrank(60, 401, 0)
 
 
 class _FixedDraw:
