@@ -30,7 +30,7 @@ from .permutations import (
 from .rng import SamplerContext
 from .sampling import SplitSampler, sample_inversion_sequence
 
-# ``chain`` builds the full count table, about n^3/6 big integers
+# ``chain`` caps its table at min(to, C(n,2)//2) + 2, past every budget it reads
 CHAIN_MAX_N = 150
 
 
@@ -121,7 +121,8 @@ def _emit_sample(x: list[int], fmt: str) -> None:
 def _cmd_chain(args) -> int:
     if not 1 <= args.n <= CHAIN_MAX_N:
         raise ValueError(f"--n must lie in 1..{CHAIN_MAX_N}")
-    table = counting.build_table(args.n)
+    cap = min(max(args.to, 0), counting.max_inversions(args.n) // 2) + 2
+    table = counting.build_table(args.n, m_cap=cap)
     ctx = SamplerContext(table, args.seed, (0,))
     trace: list[int] | None = [] if args.trace else None
     state = run_chain(args.n, args.to, ctx, trace=trace)

@@ -18,12 +18,12 @@ of the mirrored matrix (the reflection x_i -> (i-1) - x_i swaps the two).
 Telescoping the recursion gives beta in closed form.  With S = s(n,m+1),
 s = s(n,m), d_i = s(n-1,m+1-i) and D_k = d_0 + ... + d_{k-1},
 
-    beta_k = [S (d_k - d_0 + D_k) - s D_k] / (S d_k),
+    beta_k = [S (D_{k+1} - d_0) - s D_k] / (S d_k),
 
-with beta_k = 1 where d_k = 0 and beta_k = 0 for k > min(n-1, m+1).  D_k
-is a window sum of row n-1; every count here is read in O(1) from
-prefix-summed rows n and n-1, so a beta is an integer pair (numerator,
-denominator) from a few big-integer products.
+with beta_k = 1 where d_k = 0 and beta_k = 0 for k > min(n-1, m+1).  Both
+D's are window sums of row n-1; every count here is read in O(1) from the
+prefix-summed rows n and n-1, each built whole on first use, so a beta is
+an integer pair (numerator, denominator) from a few big-integer products.
 
 A step is one top-down walk over the levels L = n, n-1, ..., 2 with a
 budget b and an orientation.  Forward, the walk adds a ball to x[:L];
@@ -42,16 +42,17 @@ to s(L,b)/s(L,b+1).  Divided by that sum, a column is the law of the
 predecessor: the last coordinate loses its ball with probability
 beta_i s(L,b+1)/s(L,b), and otherwise the levels below follow a column of
 rho(L-1, b-i), scaled by 1 - beta_{i+1}; that the two parts add to 1 is
-the beta equation itself.  Each level costs one exact integer Bernoulli
-draw; no Fraction is built on this path.  ``rho_entry``,
-``materialize_rho`` and ``symbolic_chain_distributions`` are the exact
-rational oracles.
+the beta equation itself.  Each level that can take the ball costs one
+exact integer Bernoulli draw; no Fraction is built on this path.
+``rho_entry``, ``materialize_rho`` and ``symbolic_chain_distributions``
+are the exact rational oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterator, Sequence
 
 from .counting import InversionTable, max_inversions
@@ -76,25 +77,41 @@ class BetaEntry:
     values: tuple[Fraction, ...] | None
 
 
+def _beta(here: list[int], below: list[int], m: int, i: int) -> tuple[int, int]:
+    """beta_i(n, m) as (num, den) from prefix rows n and n-1; direct m, 0 < i <= min(n-1, m+1)."""
+    d_i = below[m + 2 - i] - below[m + 1 - i]
+    if d_i == 0:
+        return 1, 1
+    big, small = here[m + 2] - here[m + 1], here[m + 1] - here[m]
+    num = big * (below[m + 1] - below[m + 1 - i]) - small * (below[m + 2] - below[m + 2 - i])
+    return num, big * d_i
+
+
 class BetaTable:
     """Closed-form betas over a shared count table.
 
-    Holds one prefix-summed count row per level, extended on demand; the
-    table itself is not modified.  Safe for concurrent readers with
-    per-thread instances.
+    Holds one prefix-summed count row per level, built whole on first use
+    and as wide as a beta of that level or the next reads; the table itself
+    is not modified.  Safe for concurrent readers with per-thread instances.
     """
 
     def __init__(self, table: InversionTable):
         self.table = table
-        self._prefix_rows: dict[int, list[int]] = {}
+        self._rows: list[list[int] | None] = [None] * (table.max_n + 1)
 
-    def _prefix(self, n: int, j: int) -> list[int]:
-        """Running sums P of row n, P[k] = s(n, 0) + ... + s(n, k-1), for
-        at least k <= j."""
-        prefix = self._prefix_rows.setdefault(n, [0])
-        while len(prefix) <= j:
-            prefix.append(prefix[-1] + self.table.count(n, len(prefix) - 1))
-        return prefix
+    def prefix_row(self, level: int) -> list[int]:
+        """Running sums P[k] = s(level, 0) + ... + s(level, k-1) for k up to
+        C(level+1, 2)//2 + 2, or as far as the column cap stores; zero counts
+        pad the row past C(level, 2) only."""
+        row = self._rows[level] if 0 < level < len(self._rows) else None
+        if row is None:
+            width = max_inversions(level + 1) // 2 + 2
+            if self.table.m_cap is not None:
+                width = min(width, self.table.m_cap + 1)
+            last = min(max_inversions(level), width - 1)
+            counts = chain(self.table.counts(level, 0, last), repeat(0))
+            row = self._rows[level] = list(accumulate(islice(counts, width), initial=0))
+        return row
 
     def entry(self, n: int, m: int) -> BetaEntry:
         if n < 2 or not 0 <= m <= max_inversions(n) - 1:
@@ -113,16 +130,10 @@ class BetaTable:
             raise ValueError(f"budget {m} of level {n} must be reflected")
         if i <= 0 or i > min(n - 1, m + 1):
             return 0, 1
-        below = self._prefix(n - 1, m + 2)
-        d_i = below[m + 2 - i] - below[m + 1 - i]
-        if d_i == 0:
-            return 1, 1
-        here = self._prefix(n, m + 2)
-        big, small = here[m + 2] - here[m + 1], here[m + 1] - here[m]
-        d_0 = below[m + 2] - below[m + 1]
-        window = below[m + 2] - below[m + 2 - i]  # D_i
-        num = big * (d_i - d_0 + window) - small * window
-        den = big * d_i
+        here, below = self.prefix_row(n), self.prefix_row(n - 1)
+        if m + 2 >= len(below):
+            raise ValueError(f"s({n},{m + 1}) not stored (column cap {self.table.m_cap})")
+        num, den = _beta(here, below, m, i)
         if not 0 <= num <= den:
             raise BetaSolveError(f"beta_{i}({n},{m}) = {num}/{den} outside [0,1]")
         return num, den
@@ -242,26 +253,32 @@ def step_stops(
 ) -> Iterator[tuple[int, int, int]]:
     """The top-down walk of one step from x (sum t < C(n,2)).
 
-    Yields (coordinate, num, den) per level: the ball lands in that
-    0-based coordinate with probability num/den, given that it passed
-    every level above.  The last level reached has probability 1.
+    Yields (coordinate, num, den) per level that can take the ball: it
+    lands in that 0-based coordinate with probability num/den, given that
+    it passed every level above.  The last level reached has probability 1.
     """
-    count = betas.table.count
-    budget = t
-    flipped = False
-    for level in range(len(x), 1, -1):
-        total = max_inversions(level)
-        if 2 * budget >= total:
-            budget = total - 1 - budget
+    rows = betas._rows
+    below = betas.prefix_row(len(x))
+    b, flipped = t, False
+    for k in range(len(x) - 1, 0, -1):  # level k + 1, its last coordinate x[k]
+        here, below = below, rows[k] or betas.prefix_row(k)
+        total = k * (k + 1) // 2
+        if 2 * b >= total:
+            b = total - 1 - b
             flipped = not flipped
-        if flipped:
-            i = level - 1 - x[level - 1]
-            num, den = betas.beta(level, budget, i)
-            yield level - 1, num * count(level, budget + 1), den * count(level, budget)
-        else:
-            i = x[level - 1]
-            yield (level - 1, *betas.beta(level, budget, i + 1))
-        budget -= i
+        # j is the last coordinate as this orientation sees it; the stop is
+        # beta_{j+1} forward and beta_j * s(k+1, b+1)/s(k+1, b) flipped
+        j = k - x[k] if flipped else x[k]
+        i = j if flipped else j + 1
+        if 0 < i <= k and i <= b + 1:
+            # row k is never wider than row k + 1, so one check covers both
+            if b + 2 >= len(below):
+                raise ValueError(f"s({k + 1},{b + 1}) not stored (column cap {betas.table.m_cap})")
+            # _beta inlined; flipped, num/(S d_i) * S/s is num/(d_i s)
+            big, small = here[b + 2] - here[b + 1], here[b + 1] - here[b]
+            num = big * (below[b + 1] - below[b + 1 - i]) - small * (below[b + 2] - below[b + 2 - i])
+            yield k, num, (below[b + 2 - i] - below[b + 1 - i]) * (small if flipped else big)
+        b -= j
 
 
 def chain_step(

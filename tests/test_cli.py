@@ -113,6 +113,36 @@ def test_chain_trace(capsys):
     assert code == 2
 
 
+def test_chain_capped_table_gives_the_full_tables_trace(capsys, monkeypatch):
+    """``chain`` caps its table at min(to, C(n,2)//2) + 2; every budget
+    its walk reads is at most min(t, C(n,2)-1-t), so the trace is the one
+    a full table gives."""
+    from invperm import cli
+    from invperm.counting import build_table, max_inversions
+    from invperm.coupling import run_chain
+    from invperm.rng import SamplerContext
+
+    caps = []
+
+    def recording_build_table(n, m_cap=None):
+        caps.append(m_cap)
+        return build_table(n, m_cap=m_cap)
+
+    monkeypatch.setattr(cli.counting, "build_table", recording_build_table)
+    for n, to in [(5, 10), (12, 40), (20, 100), (30, 12), (40, 600)]:
+        full = build_table(n)
+        for seed in range(5):
+            code, out, _ = run_cli(
+                capsys, "chain", "--n", str(n), "--to", str(to), "--seed", str(seed), "--trace"
+            )
+            assert code == 0
+            assert caps.pop() == min(to, max_inversions(n) // 2) + 2
+            trace = []
+            state = run_chain(n, to, SamplerContext(full, seed, (0,)), trace=trace)
+            lines = [f"step {k}: +1 at coordinate {box}" for k, box in enumerate(trace, 1)]
+            assert out.splitlines() == lines + [",".join(map(str, state.x))]
+
+
 def test_chain_refuses_oversize_n_before_building(capsys, monkeypatch):
     from invperm import cli
 

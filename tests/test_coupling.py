@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from scipy import stats
 from invperm.counting import build_table, max_inversions
 from invperm.coupling import (
     BetaTable,
+    ChainState,
     chain_step,
     enumerate_inversion_sequences,
     initial_state,
@@ -107,25 +109,70 @@ def test_beta_rejects_reflected_budget():
     assert BT.beta(4, 2, 0) == (0, 1)
 
 
+def test_capped_table_betas_equal_full_table_betas():
+    """Every beta a column cap stores equals the full table's, and a beta
+    past the cap raises ValueError.  Each prefix row is as wide as a beta
+    of its level or the next reads, and no wider than the cap stores."""
+    cap = 40
+    full, capped = BetaTable(build_table(25)), BetaTable(build_table(25, m_cap=cap))
+    checked = 0
+    for n in range(2, 26):
+        for m in range((max_inversions(n) + 1) // 2):
+            if m + 1 > cap:
+                with pytest.raises(ValueError):
+                    capped.beta(n, m, 1)
+                continue
+            for i in range(1, n + 1):
+                assert capped.beta(n, m, i) == full.beta(n, m, i), (n, m, i)
+                checked += 1
+    assert checked > 5_000
+    for level in range(1, 26):
+        row, whole = capped.prefix_row(level), full.prefix_row(level)
+        assert len(whole) == max_inversions(level + 1) // 2 + 3
+        assert len(row) == min(len(whole), cap + 2)
+        assert row == whole[: len(row)]
+
+
+def _walk_multiplies_out_to_rho(n, m, bt):
+    for x in enumerate_inversion_sequences(n, m):
+        passed, lands = F(1), {}
+        for k, num, den in step_stops(x, m, bt):
+            p = F(num, den)
+            assert 0 <= p <= 1
+            lands[k] = passed * p
+            passed *= 1 - p
+            if passed == 0:
+                break
+        assert passed == 0
+        for k in range(n):
+            y = x[:k] + (x[k] + 1,) + x[k + 1 :]
+            exact = rho_entry(n, m, x, y, bt) if x[k] < k else 0
+            assert lands.get(k, 0) == exact, (x, k)
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_step_walk_multiplies_out_to_rho(n):
     """The stop probabilities of the walk that chain_step runs, multiplied
-    out level by level, equal rho_entry on every (state, budget) row."""
+    out level by level, equal rho_entry on every (state, budget) row.
+    rho_entry reads BetaTable.beta, so this checks the walk's inlined
+    closed form against the module's one formula, _beta."""
     for m in range(max_inversions(n)):
-        for x in enumerate_inversion_sequences(n, m):
-            passed, lands = F(1), {}
-            for k, num, den in step_stops(x, m, BT):
-                p = F(num, den)
-                assert 0 <= p <= 1
-                lands[k] = passed * p
-                passed *= 1 - p
-                if passed == 0:
-                    break
-            assert passed == 0
-            for k in range(n):
-                y = x[:k] + (x[k] + 1,) + x[k + 1 :]
-                exact = rho_entry(n, m, x, y, BT) if x[k] < k else 0
-                assert lands.get(k, 0) == exact, (x, k)
+        _walk_multiplies_out_to_rho(n, m, BT)
+
+
+def test_step_walk_multiplies_out_to_rho_on_capped_table():
+    """The same on build_table(7, m_cap=8), for every budget the cap
+    covers: the walk's largest direct budget min(m, C(n,2)-1-m) must have
+    s(n, budget + 1) stored."""
+    capped = build_table(7, m_cap=8)
+    bt = BetaTable(capped)
+    checked = 0
+    for n in range(2, 8):
+        for m in range(max_inversions(n)):
+            if capped.covers(n, min(m, max_inversions(n) - 1 - m) + 1):
+                _walk_multiplies_out_to_rho(n, m, bt)
+                checked += 1
+    assert checked == 1 + 3 + 6 + 10 + 15 + 16
 
 
 def test_rho_3_matches_displayed_matrices():
@@ -315,3 +362,44 @@ def test_trajectory_decomposition_points_shrink():
             prev = cur
             steps += 1
     assert steps == sum(m for _, m in plans)
+
+
+# sha256 of the box traces of run_chain(40, 780), seeds 0-19, and of
+# run_chain(120, 395) on build_table(120, m_cap=396), seeds 0-4, each
+# followed by one more raw draw of its generator
+TRAJECTORY_SHA256 = "2a027453a2188f9795acf67e0145154163ce717f1ca412e7827ab66e8dd7b2fe"
+
+
+def test_trajectories_pinned():
+    """The decisions of every step, and where each run leaves its stream,
+    are pinned: a change to the walk that keeps the law but not the draws
+    fails here."""
+    digest = hashlib.sha256()
+    full, capped = build_table(40), build_table(120, m_cap=396)
+    runs = [(40, 780, full, s) for s in range(20)] + [(120, 395, capped, s) for s in range(5)]
+    for n, m, table, seed in runs:
+        ctx = SamplerContext(table, seed)
+        trace = []
+        run_chain(n, m, ctx, trace=trace)
+        raw = ctx.generator.bit_generator.random_raw()
+        digest.update(f"{n} {m} {seed}: {trace} {raw};".encode())
+    assert digest.hexdigest() == TRAJECTORY_SHA256
+
+
+def test_reads_past_the_table_raise_value_error():
+    """A chain that outruns a capped table's column, and a state longer
+    than the table, raise ValueError: never IndexError, and never a read
+    of the zero padding."""
+    capped = build_table(20, m_cap=30)
+    for seed in range(3):
+        trace = []
+        with pytest.raises(ValueError, match="not stored"):
+            run_chain(20, 100, SamplerContext(capped, seed), trace=trace)
+        assert len(trace) == 30
+    small = build_table(10)
+    ctx = SamplerContext(small, 1)
+    for x in [(0,) * 12, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 5)]:
+        with pytest.raises(ValueError, match="outside table range"):
+            chain_step(ChainState(x, sum(x)), BetaTable(small), ctx)
+    with pytest.raises(ValueError, match="outside table range"):
+        run_chain(12, 5, ctx)
