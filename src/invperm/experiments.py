@@ -221,12 +221,15 @@ class Report:
     wall_seconds: float = field(default=0.0, compare=False)
 
     def to_json(self, deterministic: bool = True) -> str:
-        """Sorted, indented JSON without ``raw``; ``wall_seconds`` is left
-        out of the deterministic payload."""
+        """Sorted, indented JSON without ``raw``; ``wall_seconds`` and each
+        point's ``sampler`` diagnostics are left out of the deterministic
+        payload."""
         payload = asdict(self)
         payload.pop("raw", None)
         if deterministic:
             payload.pop("wall_seconds")
+            for point in payload.get("points", ()):
+                point.pop("sampler")
         return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
 
 
@@ -248,20 +251,35 @@ def _start(cfg: ExperimentConfig, mode: str) -> float:
     return time.time()
 
 
+@dataclass
+class SamplerStats:
+    """How a census point's ``SplitSampler`` ran: its head size, the
+    proposals it rejected (summed over chunks and worker processes) and
+    its build time in seconds (the slowest worker's)."""
+
+    head_size: int
+    restarts: int
+    build_s: float
+
+
 # Worker-side state for parallel trials; rebuilt per process.
 _WORKER: dict = {}
 
 
 def _worker_init(n: int, m: int, seed: int, key: int) -> None:
+    t0 = time.perf_counter()
     _WORKER["sampler"] = SplitSampler(n, m)
+    _WORKER["build_s"] = time.perf_counter() - t0
     _WORKER["seed"] = seed
     _WORKER["key"] = key
 
 
-def _trial_chunk(trial_range: tuple[int, int]) -> list[tuple[int, int, int, int, int]]:
+def _trial_chunk(trial_range: tuple[int, int]):
     """Per trial: the block count and the smallest, largest, first and last
-    block size (a summary, not the sizes, which number up to n per trial)."""
+    block size (a summary, not the sizes, which number up to n per trial);
+    and the chunk's sampler diagnostics."""
     sampler: SplitSampler = _WORKER["sampler"]
+    restarts = sampler.restarts
     out = []
     for trial in range(*trial_range):
         ctx = SamplerContext(None, _WORKER["seed"], (_WORKER["key"], trial))
@@ -269,11 +287,13 @@ def _trial_chunk(trial_range: tuple[int, int]) -> list[tuple[int, int, int, int,
         out.append(
             (len(sizes), int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
         )
-    return out
+    stats = SamplerStats(sampler.head_size, sampler.restarts - restarts, _WORKER["build_s"])
+    return out, stats
 
 
 def _run_trials(cfg: ExperimentConfig, m: int, key: int):
-    """Run cfg.trials trials, optionally across processes; order-stable."""
+    """Run cfg.trials trials, optionally across processes; order-stable.
+    Returns the per-trial rows and the merged sampler diagnostics."""
     step = max(1, math.ceil(cfg.trials / max(1, cfg.parallelism * 4)))
     ranges = [(lo, min(cfg.trials, lo + step)) for lo in range(0, cfg.trials, step)]
     if cfg.parallelism <= 1:
@@ -286,7 +306,11 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int):
             initargs=(cfg.n, m, cfg.seed, key),
         ) as pool:
             chunks = list(pool.map(_trial_chunk, ranges))
-    return [row for chunk in chunks for row in chunk]
+    stats = [s for _, s in chunks]
+    merged = SamplerStats(
+        stats[0].head_size, sum(s.restarts for s in stats), max(s.build_s for s in stats)
+    )
+    return [row for rows, _ in chunks for row in rows], merged
 
 
 @dataclass
@@ -304,6 +328,7 @@ class CensusPoint:
     tv: float
     mean_ok: bool
     tv_ok: bool
+    sampler: SamplerStats = field(compare=False)
 
 
 @dataclass(kw_only=True)
@@ -319,7 +344,8 @@ def run_component_census(cfg: ExperimentConfig) -> ComponentCensusReport:
     points = []
     for key, (mu, m) in enumerate(cfg.resolved_points()):
         params = threshold_params(cfg.n, m)
-        cuts = [row[0] - 1 for row in _run_trials(cfg, m, key)]
+        rows, sampler = _run_trials(cfg, m, key)
+        cuts = [row[0] - 1 for row in rows]
         values = np.array(cuts)
         hist = dict(sorted(Counter(cuts).items()))
         mean = float(values.mean())
@@ -339,6 +365,7 @@ def run_component_census(cfg: ExperimentConfig) -> ComponentCensusReport:
                 tv=tv,
                 mean_ok=gap <= TOLERANCES["component_mean_sigma"],
                 tv_ok=tv <= TOLERANCES["component_tv"],
+                sampler=sampler,
             )
         )
     report = ComponentCensusReport(
@@ -367,6 +394,7 @@ class BlockCensusPoint:
     ks_exp_ok: bool
     ks_gumbel_ok: bool
     first_last_ok: bool
+    sampler: SamplerStats = field(compare=False)
 
 
 @dataclass(kw_only=True)
@@ -390,7 +418,8 @@ def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
     raw = {}
     for key, (mu, m) in enumerate(cfg.resolved_points()):
         params = threshold_params(cfg.n, m)
-        rows = [row[1:] for row in _run_trials(cfg, m, key)]
+        trials, sampler = _run_trials(cfg, m, key)
+        rows = [row[1:] for row in trials]
         raw[m] = rows
         arr = np.array(rows, dtype=float)
         lmin, lmax, lfirst, llast = arr.T
@@ -412,6 +441,7 @@ def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
                 ks_exp_ok=ks_exp <= TOLERANCES["block_ks_exp"],
                 ks_gumbel_ok=ks_gum <= TOLERANCES["block_ks_gumbel"],
                 first_last_ok=pval > TOLERANCES["first_last_pvalue"],
+                sampler=sampler,
             )
         )
     report = BlockCensusReport(

@@ -98,25 +98,38 @@ def permutation_graph_edges(perm: Sequence[int]) -> list[tuple[int, int]]:
     ]
 
 
+# entries per step of ``decomposition_points``: its arrays stay at 64 KB
+# whatever the length, so a census trial at n = 10^5 does not grow the heap
+# by several arrays of n entries beside the sequence it decomposes
+_CHUNK = 1 << 13
+
+
 def decomposition_points(seq: Sequence[int]) -> list[int]:
     """Positions j in [len-1] at which the sequence decomposes.
 
     A nonnegative sequence a is decomposable at j when a_{j+i} <= i-1 for
     every i in [len-j]; for an inversion sequence these are exactly the
-    block boundaries.  One suffix-minimum pass: j qualifies iff
-    j <= min_{s > j} (s - 1 - a_s).
+    block boundaries.  One suffix-minimum pass, from the end in chunks of
+    ``_CHUNK`` entries: j qualifies iff j <= min_{s > j} (s - 1 - a_s).
 
     >>> decomposition_points([0, 0, 2, 0, 1, 2, 0, 1, 4])
     [3]
     """
     a = np.asarray(seq, dtype=np.int64)
     n = len(a)
-    if n <= 1:
-        return []
-    # 0-based slack[k] = k - a[k] is s - 1 - a_s for s = k + 1
-    slack = np.arange(n, dtype=np.int64) - a
-    suffix = np.minimum.accumulate(slack[::-1])[::-1]
-    return (np.nonzero(np.arange(1, n) <= suffix[1:])[0] + 1).tolist()
+    # 0-based slack[k] = k - a[k] is s - 1 - a_s for s = k + 1; its suffix
+    # minima are taken chunk by chunk from the end, carrying the minimum
+    # past the chunk (n is above every slack)
+    found = []
+    low = n
+    for end in range(n, 1, -_CHUNK):
+        index = np.arange(max(1, end - _CHUNK), end, dtype=np.int64)
+        slack = index - a[index[0] : end]
+        slack[-1] = min(slack[-1], low)
+        np.minimum.accumulate(slack[::-1], out=slack[::-1])
+        low = slack[0]
+        found.append(index[index <= slack])
+    return np.concatenate(found[::-1]).tolist() if found else []
 
 
 @dataclass(frozen=True)

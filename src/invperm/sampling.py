@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,10 @@ MAX_COMPOSITION_SLOTS = 1 << 28
 # consecutive rejected proposals after which ``SplitSampler.sample`` gives
 # up; the default head size rejects about one proposal in a hundred
 MAX_RESTARTS = 10_000
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def reflect_sequence(x: Sequence[int]) -> list[int]:
@@ -58,7 +63,13 @@ def sample_inversion_sequence(n: int, m: int, ctx: SamplerContext) -> list[int]:
     return x if work == m else reflect_sequence(x)
 
 
-def sample_composition(parts: int, total: int, ctx: SamplerContext) -> np.ndarray:
+def sample_composition(
+    parts: int,
+    total: int,
+    ctx: SamplerContext,
+    mask: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniform composition of ``total`` into ``parts`` nonnegative parts.
 
     Stars and bars: a uniform (parts-1)-subset of the slots of a
@@ -70,6 +81,12 @@ def sample_composition(parts: int, total: int, ctx: SamplerContext) -> np.ndarra
     uniform.  The fewer of bars and stars are drawn and the other set is
     the complement, so a near-full subset never becomes a coupon
     collector (total = 0 draws nothing).
+
+    ``mask``, when given, is an all-False boolean array of at least
+    total + parts - 1 entries that the draw marks instead of a fresh one;
+    it is all False again on return.  ``out``, when given, is an int64
+    array of ``parts`` entries that receives the parts and is returned.
+    Either way the draw is the same.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
@@ -81,16 +98,29 @@ def sample_composition(parts: int, total: int, ctx: SamplerContext) -> np.ndarra
             f"composition of total={total} into parts={parts} needs {slots} "
             f"slots, above {MAX_COMPOSITION_SLOTS}"
         )
+    if mask is not None and len(mask) < slots:
+        raise ValueError(f"mask of {len(mask)} slots is shorter than {slots}")
     drawn = min(parts - 1, total)
     gen = ctx.generator
-    mask = np.zeros(slots, dtype=bool)
+    marks = np.zeros(slots, dtype=bool) if mask is None else mask[:slots]
     missing = drawn
     while missing:
-        mask[gen.integers(0, slots, missing)] = True
-        missing = drawn - np.count_nonzero(mask)
+        marks[gen.integers(0, slots, missing)] = True
+        missing = drawn - np.count_nonzero(marks)
     if drawn < parts - 1:
-        np.logical_not(mask, out=mask)
-    return np.diff(np.flatnonzero(mask), prepend=-1, append=slots) - 1
+        np.logical_not(marks, out=marks)
+    # part i is the gap between bars i-1 and i, with bars at -1 and slots
+    # closing the row
+    bars = np.flatnonzero(marks)
+    if out is None:
+        out = np.empty(parts, dtype=np.int64)
+    out[:-1] = bars
+    out[-1] = slots
+    out[1:] -= bars
+    out[1:] -= 1
+    if mask is not None:
+        marks.fill(False)
+    return out
 
 
 def default_head_size(n: int, m: int) -> int:
@@ -115,11 +145,32 @@ class SplitSampler:
         w(a) = s(c, a) * C(m - a + K - 1, K - 1),   K = n - c,
 
     i.e. (#heads with sum a) * (#tail compositions of the remainder).
-    The binomials are carried as a common-factor-scaled integer chain so
-    no giant factorials are ever formed.
+    Scaled by a common factor, w(a) is the integer
+
+        W(a) = s(c, a) * prod_{j<a}(m-j) * prod_{a<=j<a_max}(m-j+K-1),
+
+    and a draw takes a uniform u below sum W and returns the number of
+    prefix sums of W at most u, so no giant factorial is ever formed.
+    The prefix sums are kept block-factored.  The head sums are cut into
+    blocks a0 <= a < a1 of about sqrt(a_max); inside one, every W(a) is
+    the block's big factor
+
+        P = prod_{j<a0}(m-j) * prod_{a1-1<=j<a_max}(m-j+K-1)
+
+    times a short local integer.  A block stores P, the exact prefix sum
+    before it and its short local prefix sums, which together imply every
+    full-width prefix sum exactly, in about 1/sqrt(a_max) of their space.
+
+    Draws reuse the sampler's work arrays, so a sampler serves one thread
+    at a time.
     """
 
     def __init__(self, n: int, m: int, head_size: int | None = None):
+        if not (_is_int(n) and _is_int(m) and (head_size is None or _is_int(head_size))):
+            raise ValueError(
+                f"n, m and head_size must be integers; got {n!r}, {m!r}, {head_size!r}"
+            )
+        n, m = int(n), int(m)
         if n < 1:
             raise ValueError("n must be >= 1")
         total = max_inversions(n)
@@ -130,36 +181,84 @@ class SplitSampler:
         self.reflected = 2 * m > total
         self._m_work = total - m if self.reflected else m
         mw = self._m_work
-        c = default_head_size(n, mw) if head_size is None else head_size
+        c = default_head_size(n, mw) if head_size is None else int(head_size)
         if c >= n:
             c = n - 1
         self.head_size = c
         if not 1 <= c < n:
             raise ValueError("split sampler needs 1 <= head_size < n")
-        self.table = build_table(c, m_cap=min(mw, max_inversions(c)))
         self._tail_parts = n - c
+        slots = mw + self._tail_parts - 1
+        if slots > MAX_COMPOSITION_SLOTS:
+            raise ValueError(
+                f"SplitSampler(n={n}, m={m}) needs tail compositions of up to "
+                f"{slots} slots, above {MAX_COMPOSITION_SLOTS}"
+            )
+        self.table = build_table(c, m_cap=min(mw, max_inversions(c)))
         a_max = min(max_inversions(c), mw)
-        self._cum_weights = self._weight_cumsums(a_max, mw, self._tail_parts)
+        self._bases, self._blocks, self._total = self._weight_blocks(
+            a_max, mw, self._tail_parts
+        )
         # tail bound check: tail coordinate i (1-based) is x_{c+i} <= c+i-1
         self._tail_bounds = np.arange(c, n, dtype=np.int64)
+        # the tail's bar mask (all False between draws) and its parts, reused
+        # by every draw: a draw's other arrays then take turns in memory of
+        # about one sequence's size, which the C allocator keeps, instead of
+        # growing the heap by several and handing it back after each draw
+        self._mask = np.zeros(slots, dtype=bool)
+        self._tail = np.empty(self._tail_parts, dtype=np.int64)
         self.restarts = 0
 
-    def _weight_cumsums(self, a_max: int, m: int, parts: int) -> list[int]:
-        # scaled weights W(a) = s(c,a) * P(a), where
-        #   P(a) = prod_{j=a}^{a_max-1}(m-j+parts-1) * prod_{j=0}^{a-1}(m-j)
-        # so W(a+1)/W(a) = [s-ratio] * (m-a)/(m-a+parts-1), matching the
-        # ratio of tail-composition counts.  P(a) holds the factor
-        # m-a+parts-1 for a < a_max, so P(a+1) = P(a) // (m-a+parts-1) * (m-a)
-        # is exact and each step is linear in the size of P.
-        factor = math.prod(m - j + parts - 1 for j in range(a_max))
-        cums = []
-        acc = 0
-        for a in range(a_max + 1):
-            acc += self.table.count(self.head_size, a) * factor
-            cums.append(acc)
-            if a < a_max:
-                factor = factor // (m - a + parts - 1) * (m - a)
-        return cums
+    def _weight_blocks(self, a_max: int, m: int, parts: int):
+        """Per block, the exact prefix sum before it, and (a0, P, leading
+        bits of P, their shift, local prefix sums); and sum W."""
+        # Block [a0, a1) has big factor P (see the class docstring) and
+        # local weights W(a) / P = s(c, a) * L(a), where
+        #   L(a) = prod_{a0<=j<a}(m-j) * prod_{a<=j<a1-1}(m-j+K-1),
+        # so L(a+1) = L(a) // (m-a+K-1) * (m-a) is exact, as is the step
+        # to the next block's P, which trades the factors m-j+K-1 it now
+        # holds locally for the factors m-j this block held.
+        up = [m - j for j in range(a_max)]
+        down = [m - j + parts - 1 for j in range(a_max)]
+        heads = self.table.counts(self.head_size, 0, a_max)
+        width = math.isqrt(a_max) + 1
+        ends = [*range(width, a_max + 1, width), a_max + 1]
+        factor = math.prod(down[ends[0] - 1 :])
+        base = 0
+        bases, blocks = [], []
+        a0 = 0
+        for a1, after in zip(ends, [*ends[1:], None]):
+            local = math.prod(down[a0 : a1 - 1])
+            sums = []
+            acc = 0
+            for a in range(a0, a1):
+                acc += next(heads) * local
+                sums.append(acc)
+                if a < a1 - 1:
+                    local = local // down[a] * up[a]
+            # the leading bits of factor, enough to place a quotient below
+            # acc to within one
+            shift = max(0, factor.bit_length() - acc.bit_length() - 64)
+            bases.append(base)
+            blocks.append((a0, factor, factor >> shift, shift, sums))
+            base += factor * acc
+            if after is not None:
+                factor = factor // math.prod(down[a1 - 1 : after - 1]) * math.prod(up[a0:a1])
+            a0 = a1
+        return bases, blocks, base
+
+    def _head_sum(self, u: int) -> int:
+        """The number of prefix sums of W at most u, for 0 <= u < sum W."""
+        b = bisect.bisect_right(self._bases, u) - 1
+        a0, factor, top, shift, sums = self._blocks[b]
+        rest = u - self._bases[b]
+        # within one of rest // factor: the local sums at or below that
+        # quotient are known unless one of them lies within one of it
+        q = (rest >> shift) // top
+        i = bisect.bisect_right(sums, q - 1)
+        if i < len(sums) and sums[i] <= q + 1:
+            i = bisect.bisect_right(sums, rest // factor)
+        return a0 + i
 
     def sample(self, ctx: SamplerContext) -> np.ndarray:
         """One exactly uniform inversion sequence, as an int64 array."""
@@ -167,10 +266,9 @@ class SplitSampler:
         mw = self._m_work
         head_ctx = ctx.with_table(self.table)
         for _ in range(MAX_RESTARTS + 1):
-            u = ctx.uniform_below(self._cum_weights[-1])
-            a = bisect.bisect_right(self._cum_weights, u)
+            a = self._head_sum(ctx.uniform_below(self._total))
             head = sample_inversion_sequence(c, a, head_ctx)
-            tail = sample_composition(self._tail_parts, mw - a, ctx)
+            tail = sample_composition(self._tail_parts, mw - a, ctx, self._mask, self._tail)
             if np.all(tail <= self._tail_bounds):
                 x = np.concatenate([np.asarray(head, dtype=np.int64), tail])
                 if self.reflected:

@@ -392,4 +392,6 @@ def test_census_exit_code_and_report_files_in_every_mode(argv, files, capsys, tm
     written = json.loads((tmp_path / f"{stem}.json").read_text())
     assert written == json.loads(out)
     written.pop("wall_seconds")
+    for point in written.get("points", []):
+        assert point.pop("sampler").keys() == {"head_size", "restarts", "build_s"}
     assert written == json.loads(report.to_json())

@@ -207,6 +207,30 @@ def test_component_census_determinism_and_parallel_merge():
     assert r1.to_json() == r3.to_json()
 
 
+def test_census_points_report_sampler_diagnostics():
+    """Each point states its sampler's head size, restarts and build time;
+    parallelism 1 and 2 give the same head size and restarts (summed over
+    chunks and workers), and none of it reaches the deterministic bytes."""
+    # n = 20 heads are n - 1 long, so the one tail coordinate often breaks
+    # its bound and proposals restart
+    cfg = _component_cfg(n=20, trials=40, m_list=[57, 85], seed=2)
+    serial = run_component_census(cfg)
+    cfg.parallelism = 2
+    parallel = run_component_census(cfg)
+    for point in serial.points:
+        sampler = SplitSampler(20, point.m)
+        assert point.sampler.head_size == sampler.head_size
+        assert point.sampler.build_s > 0
+    diagnostics = [(p.sampler.head_size, p.sampler.restarts) for p in serial.points]
+    assert diagnostics == [(p.sampler.head_size, p.sampler.restarts) for p in parallel.points]
+    assert sum(restarts for _, restarts in diagnostics) > 0
+    assert serial.to_json() == parallel.to_json()
+    assert '"sampler"' not in serial.to_json()
+    assert json.loads(serial.to_json(deterministic=False))["points"][1]["sampler"][
+        "restarts"
+    ] == diagnostics[1][1]
+
+
 def test_component_census_calls_the_hooks_the_benchmark_wraps(monkeypatch):
     """The benchmark's tracer and timer replace these module globals; the
     census must call them through the module, once per point and once per

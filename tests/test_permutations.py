@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invperm import permutations
 from invperm.counting import build_table
 from invperm.permutations import (
     blocks,
@@ -186,6 +187,34 @@ def test_decomposition_points_match_definition_on_any_sequence(seed, n):
     expected = decomposition_points_of_sequence_brute(seq.tolist())
     assert decomposition_points(seq) == expected
     assert decomposition_points(seq.tolist()) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_decomposition_points_in_chunks_match_definition(monkeypatch, chunk):
+    """Chunks of every small width, so that cut points fall on, before and
+    after chunk edges, give the definition's points."""
+    monkeypatch.setattr(permutations, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for n in range(0, 30):
+        for high in (1, 2, 4):  # values below 2 make cut points dense
+            seq = rng.integers(0, high, size=n)
+            assert decomposition_points(seq) == decomposition_points_of_sequence_brute(
+                seq.tolist()
+            )
+
+
+def test_decomposition_points_match_one_pass_at_census_size():
+    """At n = 10^5, a dozen chunks, the points are those of one suffix-minimum
+    pass over the whole sequence, for a split-sampler draw and for a sequence
+    with a cut point at about every other position."""
+    rng = np.random.default_rng(5)
+    draw = SplitSampler(100_000, 764_911).sample(SamplerContext(None, 9))
+    for seq in (draw, rng.integers(0, 2, size=100_000)):
+        slack = np.arange(len(seq)) - seq
+        suffix = np.minimum.accumulate(slack[::-1])[::-1]
+        expected = (np.flatnonzero(np.arange(1, len(seq)) <= suffix[1:]) + 1).tolist()
+        assert decomposition_points(seq) == expected
+    assert len(expected) > 40_000
 
 
 def test_blocks_examples():

@@ -1,3 +1,5 @@
+import bisect
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -322,6 +324,40 @@ def test_composition_draws_the_fewer_of_bars_and_stars():
     assert sample_composition(4, 0, no_star).tolist() == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "parts,total",
+    # bars drawn (parts - 1 < total), stars drawn and complemented,
+    # total = 0 (nothing drawn, all complemented) and a single part
+    [(40, 200), (200, 40), (5, 0), (1, 9), (1, 0)],
+)
+def test_composition_reused_mask_gives_the_fresh_masks_draw(parts, total):
+    """Through a longer reused mask, and into a given output array, the
+    composition and the stream after it are those of a fresh mask, and
+    the mask is all False again."""
+    mask = np.zeros(total + parts + 6, dtype=bool)
+    out = np.full(parts, -1, dtype=np.int64)
+    for t in range(10):
+        fresh, reused = ctx(30, t), ctx(30, t)
+        y = sample_composition(parts, total, fresh)
+        assert sample_composition(parts, total, reused, mask, out) is out
+        assert out.tolist() == y.tolist()
+        assert not mask.any()
+        after = fresh.generator.bit_generator.random_raw()
+        assert reused.generator.bit_generator.random_raw() == after
+
+
+def test_composition_reused_mask_draws_nothing_when_nothing_is_missing():
+    """total = 0 and a single part make no ``integers`` call, with a
+    reused mask as without; a mask shorter than the slots is refused."""
+    mask = np.zeros(8, dtype=bool)
+    for parts, total in [(4, 0), (1, 5)]:
+        nothing = SamplerContext(None, 0, _gen=_ScriptedGenerator([]))
+        assert sample_composition(parts, total, nothing, mask).sum() == total
+        assert not mask.any()
+    with pytest.raises(ValueError, match="shorter"):
+        sample_composition(5, 5, ctx(31), mask)
+
+
 def test_composition_checks_size_before_allocating(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_COMPOSITION_SLOTS", 10)
     assert sample_composition(5, 6, ctx(11)).sum() == 6  # 10 slots
@@ -407,6 +443,16 @@ def _product_form_cumsums(sampler):
     return cums
 
 
+def _block_form_cumsums(sampler):
+    """Every prefix sum the stored blocks imply: the exact sum before a
+    block plus its big factor times each of its local sums."""
+    return [
+        base + factor * local
+        for base, (_, factor, _, _, sums) in zip(sampler._bases, sampler._blocks)
+        for local in sums
+    ]
+
+
 @pytest.mark.parametrize(
     "n,m,head",
     [
@@ -422,8 +468,86 @@ def _product_form_cumsums(sampler):
     ],
 )
 def test_weight_cumsums_match_product_form(n, m, head):
+    """The block form implies the product form's prefix sums, and a draw u
+    goes to bisect_right over them: every u when the total is small,
+    otherwise both ends and u - 1, u, u + 1 at every prefix sum."""
     sampler = SplitSampler(n, m, head_size=head)
-    assert sampler._cum_weights == _product_form_cumsums(sampler)
+    cums = _product_form_cumsums(sampler)
+    assert _block_form_cumsums(sampler) == cums
+    assert sampler._total == cums[-1]
+    if cums[-1] <= 20_000:
+        us = range(cums[-1])
+    else:
+        us = {0, cums[-1] - 1} | {c + d for c in cums[:-1] for d in (-1, 0, 1)}
+    for u in us:
+        assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+
+
+def test_head_sum_exact_around_every_prefix_sum_at_census_size():
+    """At n = 10^5, mu = 0 a block's factor has about 40 kbit, and a u next
+    to a prefix sum puts a local sum within one of the quotient its
+    leading bits give, so u - 1, u and u + 1 at every prefix sum (block
+    starts among them) take the exact division; random u take the
+    leading bits alone.  All must give bisect_right."""
+    sampler = SplitSampler(100_000, 764_911)
+    assert len(sampler._blocks) > 40 and sampler._blocks[0][3] > 30_000
+    cums = _product_form_cumsums(sampler)
+    assert _block_form_cumsums(sampler) == cums
+    probe = SamplerContext(None, 32)
+    us = [probe.uniform_below(cums[-1]) for _ in range(200)]
+    us += [c + d for c in cums[:-1] for d in (-1, 0, 1)]
+    for u in us:
+        assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+
+
+def test_split_draws_pinned():
+    """Draws, and the generator's next raw output after each, at the three
+    n = 10^5 benchmark points (mu = -1, 0, 1), a reflected point and a head
+    that reaches the whole budget: any change to the head-sum law, the
+    draw order or the RNG use changes the digest."""
+    digest = hashlib.sha256()
+    for n, m, head, draws in [
+        (100_000, 704_118, None, 4),
+        (100_000, 764_911, None, 4),
+        (100_000, 825_704, None, 4),
+        (300, 44_000, None, 20),  # reflected
+        (30, 100, 20, 50),
+    ]:
+        sampler = SplitSampler(n, m, head_size=head)
+        for t in range(draws):
+            caller = SamplerContext(None, 23, (n, t))
+            digest.update(sampler.sample(caller).tobytes())
+            raw = int(caller.generator.bit_generator.random_raw())
+            digest.update(raw.to_bytes(8, "little"))
+    assert digest.hexdigest() == (
+        "8dc8ab88d68578c8d8169ac1d2229a046073b2580fe133a3d6439abdeac35104"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(100.0, 50), (100, 50.5), (True, 0), (100, False), (100, 50, True), (100, 50, 20.0), ("9", 3)],
+)
+def test_split_sampler_rejects_non_integer_arguments(args):
+    with pytest.raises(ValueError, match="must be integers"):
+        SplitSampler(*args)
+
+
+def test_split_sampler_takes_numpy_integers_as_ints():
+    sampler = SplitSampler(np.int64(60), np.int64(150), head_size=np.int32(20))
+    assert (type(sampler.n), type(sampler.m), sampler.head_size) == (int, int, 20)
+    x = sampler.sample(SamplerContext(None, 33))
+    assert x.tolist() == SplitSampler(60, 150, 20).sample(SamplerContext(None, 33)).tolist()
+
+
+def test_split_sampler_checks_tail_slots_before_building(monkeypatch):
+    """The reused tail mask is allocated at build, so a budget whose tail
+    needs more than ``MAX_COMPOSITION_SLOTS`` slots is refused first."""
+    monkeypatch.setattr(sampling, "MAX_COMPOSITION_SLOTS", 200)
+    SplitSampler(60, 150, head_size=20)  # 150 + 40 - 1 slots
+    monkeypatch.setattr(sampling, "build_table", None)
+    with pytest.raises(ValueError, match="210 slots"):
+        SplitSampler(60, 171, head_size=20)
 
 
 def test_split_sampler_restart_cap(monkeypatch):
