@@ -84,9 +84,9 @@ def sample_composition(
 
     ``mask``, when given, is an all-False boolean array of at least
     total + parts - 1 entries that the draw marks instead of a fresh one;
-    it is all False again on return.  ``out``, when given, is an int64
-    array of ``parts`` entries that receives the parts and is returned.
-    Either way the draw is the same.
+    it is all False again on return, also when the draw raises.  ``out``,
+    when given, is an int64 array of ``parts`` entries that receives the
+    parts and is returned.  Either way the draw is the same.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
@@ -103,23 +103,25 @@ def sample_composition(
     drawn = min(parts - 1, total)
     gen = ctx.generator
     marks = np.zeros(slots, dtype=bool) if mask is None else mask[:slots]
-    missing = drawn
-    while missing:
-        marks[gen.integers(0, slots, missing)] = True
-        missing = drawn - np.count_nonzero(marks)
-    if drawn < parts - 1:
-        np.logical_not(marks, out=marks)
+    try:
+        missing = drawn
+        while missing:
+            marks[gen.integers(0, slots, missing)] = True
+            missing = drawn - np.count_nonzero(marks)
+        if drawn < parts - 1:
+            np.logical_not(marks, out=marks)
+        bars = np.flatnonzero(marks)
+    finally:
+        if mask is not None:
+            marks.fill(False)
     # part i is the gap between bars i-1 and i, with bars at -1 and slots
     # closing the row
-    bars = np.flatnonzero(marks)
     if out is None:
         out = np.empty(parts, dtype=np.int64)
     out[:-1] = bars
     out[-1] = slots
     out[1:] -= bars
     out[1:] -= 1
-    if mask is not None:
-        marks.fill(False)
     return out
 
 
@@ -210,8 +212,8 @@ class SplitSampler:
         self.restarts = 0
 
     def _weight_blocks(self, a_max: int, m: int, parts: int):
-        """Per block, the exact prefix sum before it, and (a0, P, leading
-        bits of P, their shift, local prefix sums); and sum W."""
+        """Per block, the exact prefix sum before it, and (a0, P, local
+        prefix sums); and sum W."""
         # Block [a0, a1) has big factor P (see the class docstring) and
         # local weights W(a) / P = s(c, a) * L(a), where
         #   L(a) = prod_{a0<=j<a}(m-j) * prod_{a<=j<a1-1}(m-j+K-1),
@@ -236,11 +238,8 @@ class SplitSampler:
                 sums.append(acc)
                 if a < a1 - 1:
                     local = local // down[a] * up[a]
-            # the leading bits of factor, enough to place a quotient below
-            # acc to within one
-            shift = max(0, factor.bit_length() - acc.bit_length() - 64)
             bases.append(base)
-            blocks.append((a0, factor, factor >> shift, shift, sums))
+            blocks.append((a0, factor, sums))
             base += factor * acc
             if after is not None:
                 factor = factor // math.prod(down[a1 - 1 : after - 1]) * math.prod(up[a0:a1])
@@ -250,15 +249,9 @@ class SplitSampler:
     def _head_sum(self, u: int) -> int:
         """The number of prefix sums of W at most u, for 0 <= u < sum W."""
         b = bisect.bisect_right(self._bases, u) - 1
-        a0, factor, top, shift, sums = self._blocks[b]
-        rest = u - self._bases[b]
-        # within one of rest // factor: the local sums at or below that
-        # quotient are known unless one of them lies within one of it
-        q = (rest >> shift) // top
-        i = bisect.bisect_right(sums, q - 1)
-        if i < len(sums) and sums[i] <= q + 1:
-            i = bisect.bisect_right(sums, rest // factor)
-        return a0 + i
+        a0, factor, sums = self._blocks[b]
+        # base + P * s <= u  iff  s <= (u - base) // P
+        return a0 + bisect.bisect_right(sums, (u - self._bases[b]) // factor)
 
     def sample(self, ctx: SamplerContext) -> np.ndarray:
         """One exactly uniform inversion sequence, as an int64 array."""

@@ -448,7 +448,7 @@ def _block_form_cumsums(sampler):
     block plus its big factor times each of its local sums."""
     return [
         base + factor * local
-        for base, (_, factor, _, _, sums) in zip(sampler._bases, sampler._blocks)
+        for base, (_, factor, sums) in zip(sampler._bases, sampler._blocks)
         for local in sums
     ]
 
@@ -484,13 +484,11 @@ def test_weight_cumsums_match_product_form(n, m, head):
 
 
 def test_head_sum_exact_around_every_prefix_sum_at_census_size():
-    """At n = 10^5, mu = 0 a block's factor has about 40 kbit, and a u next
-    to a prefix sum puts a local sum within one of the quotient its
-    leading bits give, so u - 1, u and u + 1 at every prefix sum (block
-    starts among them) take the exact division; random u take the
-    leading bits alone.  All must give bisect_right."""
+    """At n = 10^5, mu = 0 (46 blocks, factors of about 41 kbit), u - 1, u
+    and u + 1 at every prefix sum, block starts among them, and random u
+    all go to bisect_right over the full-width prefix sums."""
     sampler = SplitSampler(100_000, 764_911)
-    assert len(sampler._blocks) > 40 and sampler._blocks[0][3] > 30_000
+    assert len(sampler._blocks) > 40
     cums = _product_form_cumsums(sampler)
     assert _block_form_cumsums(sampler) == cums
     probe = SamplerContext(None, 32)
@@ -498,6 +496,38 @@ def test_head_sum_exact_around_every_prefix_sum_at_census_size():
     us += [c + d for c in cums[:-1] for d in (-1, 0, 1)]
     for u in us:
         assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+
+
+class _InterruptedGenerator:
+    """A numpy generator whose first ``integers`` round marks one slot and
+    whose second raises, as an interrupt in the middle of a tail draw."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def integers(self, low, high, size):
+        self.calls += 1
+        if self.calls > 1:
+            raise _Unscripted(high, size)
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_split_sampler_draw_after_an_interrupted_one_is_a_fresh_samplers():
+    """A draw that raises after marking the reused mask leaves it all
+    False, so the sampler's next draws are a fresh sampler's."""
+    sampler = SplitSampler(60, 150, head_size=20)
+    interrupted = _InterruptedGenerator(ctx(34).generator)
+    with pytest.raises(_Unscripted):
+        sampler.sample(SamplerContext(None, 0, _gen=interrupted))
+    assert interrupted.calls == 2
+    assert not sampler._mask.any()
+    fresh = SplitSampler(60, 150, head_size=20)
+    for t in range(5):
+        assert sampler.sample(ctx(35, t)).tolist() == fresh.sample(ctx(35, t)).tolist()
 
 
 def test_split_draws_pinned():
