@@ -45,11 +45,9 @@ def _cmd_count(args) -> int:
         try:
             table = counting.load_table(args.table)
         except (ValueError, OSError) as exc:
-            print(f"cannot read table cache: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot read table cache: {exc}") from exc
         if not table.covers(args.n, min(args.m, counting.max_inversions(args.n))):
-            print("cache does not cover the request", file=sys.stderr)
-            return 2
+            raise ValueError("cache does not cover the request")
     else:
         table = counting.build_table(args.n, m_cap=args.m if args.m >= 0 else None)
     print(table.count(args.n, args.m))

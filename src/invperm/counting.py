@@ -141,8 +141,15 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     running sum of s(n-1, m) - s(n-1, m-n), so each cell costs O(1)
     big-integer additions, done in ``itertools`` rather than a Python
     loop.  ``m_cap`` truncates every row at that column (the recurrence
-    never looks right of the cap).  A table of more than
-    ``MAX_TABLE_CELLS`` cells is refused before anything is allocated.
+    never looks right of the cap).
+
+    Rows are symmetric, s(n, m) = s(n, C(n,2) - m), by the reflection
+    x_i -> (i-1) - x_i.  So a row whose width passes C(n,2)/2 is summed
+    only up to floor(C(n,2)/2), and each entry m above that is the very
+    int object stored at C(n,2) - m: such a row costs half the additions
+    and about half the memory, and readers see the same values, length
+    and interface.  A table of more than ``MAX_TABLE_CELLS`` cells is
+    refused before anything is allocated.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -157,9 +164,19 @@ def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     rows: list[list[int]] = [[1]]
     for n in range(1, max_n + 1):
         prev = rows[n - 1]
+        width = _row_width(n, m_cap)
         diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
-        rows.append(list(accumulate(islice(diffs, _row_width(n, m_cap)))))
+        row = list(accumulate(islice(diffs, min(width, max_inversions(n) // 2 + 1))))
+        row += _mirror(row, n, width)
+        rows.append(row)
     return InversionTable(rows, m_cap=m_cap)
+
+
+def _mirror(row: list[int], n: int, width: int) -> list[int]:
+    """Entries floor(C(n,2)/2) + 1 .. width - 1 of row n: for each m, the
+    int object ``row`` holds at C(n,2) - m, which lies in its first half."""
+    top = max_inversions(n)
+    return row[top + 1 - width : (top + 1) // 2][::-1]
 
 
 def expected_cuts(table: InversionTable, n: int, m: int) -> Fraction:
@@ -229,8 +246,11 @@ def save_table(table: InversionTable, path: str) -> None:
 def load_table(path: str) -> InversionTable:
     """Read a cache produced by :func:`save_table`, validating the header.
 
-    A malformed or truncated cache, or a row whose entry count is not the
-    min(C(n,2), m_cap) + 1 that ``build_table`` stores, raises ``ValueError``.
+    A malformed or truncated cache, a row whose entry count is not the
+    min(C(n,2), m_cap) + 1 that ``build_table`` stores, or a row whose
+    entries m above C(n,2)/2 differ from those at C(n,2) - m raises
+    ``ValueError``.  Those entries then share the int objects at
+    C(n,2) - m, as in a built table.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -254,6 +274,14 @@ def load_table(path: str) -> InversionTable:
                     if len(blob) != nbytes:
                         raise ValueError("truncated inversion-table cache")
                     row.append(int.from_bytes(blob, "little"))
+                mirror = _mirror(row, n, width)
+                half = width - len(mirror)
+                if row[half:] != mirror:
+                    raise ValueError(
+                        f"cache row {n} is not symmetric: s({n}, m) differs from "
+                        f"s({n}, {max_inversions(n)} - m)"
+                    )
+                row[half:] = mirror
                 rows.append(row)
         except struct.error as exc:
             raise ValueError(f"truncated inversion-table cache ({exc})") from None

@@ -254,15 +254,22 @@ def _start(cfg: ExperimentConfig, mode: str) -> float:
 @dataclass
 class SamplerStats:
     """How a census point's ``SplitSampler`` ran: its head size, the
-    proposals it rejected (summed over chunks and worker processes) and
-    its build time in seconds (the slowest worker's)."""
+    proposals it rejected (summed over chunks and worker processes), its
+    build time in seconds (the slowest worker's) and its acceptance rate,
+    trials / (trials + restarts)."""
 
     head_size: int
     restarts: int
     build_s: float
+    acceptance: float
 
 
-# Worker-side state for parallel trials; rebuilt per process.
+def _sampler_stats(head_size: int, trials: int, restarts: int, build_s: float) -> SamplerStats:
+    return SamplerStats(head_size, restarts, build_s, trials / (trials + restarts))
+
+
+# The trials' sampler and stream keys: set once per worker process, or
+# in-process for the length of one ``_run_trials`` call.
 _WORKER: dict = {}
 
 
@@ -287,18 +294,25 @@ def _trial_chunk(trial_range: tuple[int, int]):
         out.append(
             (len(sizes), int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
         )
-    stats = SamplerStats(sampler.head_size, sampler.restarts - restarts, _WORKER["build_s"])
+    stats = _sampler_stats(
+        sampler.head_size, len(out), sampler.restarts - restarts, _WORKER["build_s"]
+    )
     return out, stats
 
 
 def _run_trials(cfg: ExperimentConfig, m: int, key: int):
     """Run cfg.trials trials, optionally across processes; order-stable.
-    Returns the per-trial rows and the merged sampler diagnostics."""
+    Returns the per-trial rows and the merged sampler diagnostics.  The
+    in-process sampler is dropped on return, also when a trial raises, so
+    no sampler outlives its census call."""
     step = max(1, math.ceil(cfg.trials / max(1, cfg.parallelism * 4)))
     ranges = [(lo, min(cfg.trials, lo + step)) for lo in range(0, cfg.trials, step)]
     if cfg.parallelism <= 1:
-        _worker_init(cfg.n, m, cfg.seed, key)
-        chunks = [_trial_chunk(r) for r in ranges]
+        try:
+            _worker_init(cfg.n, m, cfg.seed, key)
+            chunks = [_trial_chunk(r) for r in ranges]
+        finally:
+            _WORKER.clear()
     else:
         with ProcessPoolExecutor(
             max_workers=cfg.parallelism,
@@ -307,8 +321,11 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int):
         ) as pool:
             chunks = list(pool.map(_trial_chunk, ranges))
     stats = [s for _, s in chunks]
-    merged = SamplerStats(
-        stats[0].head_size, sum(s.restarts for s in stats), max(s.build_s for s in stats)
+    merged = _sampler_stats(
+        stats[0].head_size,
+        cfg.trials,
+        sum(s.restarts for s in stats),
+        max(s.build_s for s in stats),
     )
     return [row for rows, _ in chunks for row in rows], merged
 

@@ -54,7 +54,21 @@ def test_count_rejects_cache_with_short_row(tmp_path, capsys):
     save_table(InversionTable(rows), cache)
     code, out, err = run_cli(capsys, "count", "6", "15", "--table", cache)
     assert code == 2 and out == ""
-    assert err == "cannot read table cache: cache row 6 has 13 entries, expected 16\n"
+    assert err == "invperm count: cannot read table cache: cache row 6 has 13 entries, expected 16\n"
+
+
+def test_count_rejects_cache_whose_row_halves_differ(tmp_path, capsys):
+    from invperm.counting import InversionTable, build_table, save_table
+
+    full = build_table(8)
+    rows = [[1]] + [full.row(k) for k in range(1, 9)]
+    rows[6][13] += 1
+    cache = str(tmp_path / "bad.bin")
+    save_table(InversionTable(rows), cache)
+    code, out, err = run_cli(capsys, "count", "6", "2", "--table", cache)
+    assert code == 2 and out == ""
+    assert err.startswith("invperm count: cannot read table cache: cache row 6 is not symmetric")
+    assert err.count("\n") == 1
 
 
 def test_blocks_json(capsys):
@@ -393,5 +407,5 @@ def test_census_exit_code_and_report_files_in_every_mode(argv, files, capsys, tm
     assert written == json.loads(out)
     written.pop("wall_seconds")
     for point in written.get("points", []):
-        assert point.pop("sampler").keys() == {"head_size", "restarts", "build_s"}
+        assert point.pop("sampler").keys() == {"head_size", "restarts", "build_s", "acceptance"}
     assert written == json.loads(report.to_json())

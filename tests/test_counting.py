@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import pytest
 
@@ -53,9 +54,18 @@ def test_count_boundary_convention():
         TABLE40.count(0, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 40])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 15, 40])
 def test_polynomial_oracle_matches_table(n):
+    """Every row of ``build_table(n, m_cap)`` is the polynomial's prefix,
+    for caps on both sides of C(n,2)/2, where rows start to be mirrored,
+    and at C(n,2)."""
     assert mahonian_polynomial(n) == TABLE40.row(n)
+    top = max_inversions(n)
+    caps = {top // 2 - 1, top // 2, top // 2 + 1, top - 1, top, None} - {-1}
+    polynomials = [[1]] + [mahonian_polynomial(k) for k in range(1, n + 1)]
+    for m_cap in caps:
+        stop = None if m_cap is None else m_cap + 1
+        assert build_table(n, m_cap)._rows == [p[:stop] for p in polynomials]
 
 
 def test_polynomial_base_case():
@@ -71,6 +81,8 @@ def test_row_invariants(n):
     assert sum(row) == math.factorial(n)
     for m in range(top + 1):
         assert row[m] == row[top - m]
+    # the upper half is the lower half's int objects, not equal copies
+    assert all(row[m] is row[top - m] for m in range(top // 2 + 1, top + 1))
     for m in range(1, top):
         assert row[m - 1] * row[m + 1] <= row[m] ** 2
 
@@ -108,7 +120,41 @@ def test_cache_round_trip(tmp_path):
     full = build_table(9)
     path2 = str(tmp_path / "full.bin")
     save_table(full, path2)
-    assert load_table(path2).row(9) == full.row(9)
+    loaded = load_table(path2)
+    assert loaded.row(9) == full.row(9)
+    # a loaded row shares its mirrored half as a built one does, also a
+    # capped row that passes C(n,2)/2
+    for table in (load_table(path), loaded):
+        for n in range(1, table.max_n + 1):
+            row, top = table._rows[n], max_inversions(n)
+            assert all(row[m] is row[top - m] for m in range(top // 2 + 1, len(row)))
+
+
+def _entry_offset(data: bytes, n: int, m: int) -> int:
+    """Where the bytes of s(n, m) start in a cache written by ``save_table``."""
+    pos = 4 + 16
+    for k in range(n + 1):
+        (entries,) = struct.unpack_from("<Q", data, pos)
+        pos += 8
+        for j in range(entries):
+            if (k, j) == (n, m):
+                return pos + 8
+            (nbytes,) = struct.unpack_from("<Q", data, pos)
+            pos += 8 + nbytes
+    raise AssertionError(f"s({n},{m}) not in the cache")
+
+
+def test_cache_rejects_row_whose_halves_differ(tmp_path):
+    path = tmp_path / "table.bin"
+    save_table(build_table(9), str(path))
+    data = bytearray(path.read_bytes())
+    # s(7, 12) = s(7, 9) = 531 = 0x0213; make the upper one 0x0214
+    at = _entry_offset(data, 7, 12)
+    assert data[at : at + 2] == b"\x13\x02"
+    data[at] += 1
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=r"cache row 7 is not symmetric"):
+        load_table(str(path))
 
 
 def test_counts_agrees_with_count_both_ways():

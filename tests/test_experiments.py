@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -208,9 +210,10 @@ def test_component_census_determinism_and_parallel_merge():
 
 
 def test_census_points_report_sampler_diagnostics():
-    """Each point states its sampler's head size, restarts and build time;
-    parallelism 1 and 2 give the same head size and restarts (summed over
-    chunks and workers), and none of it reaches the deterministic bytes."""
+    """Each point states its sampler's head size, restarts, build time and
+    acceptance rate; parallelism 1 and 2 give the same head size, restarts
+    (summed over chunks and workers) and acceptance, and none of it reaches
+    the deterministic bytes."""
     # n = 20 heads are n - 1 long, so the one tail coordinate often breaks
     # its bound and proposals restart
     cfg = _component_cfg(n=20, trials=40, m_list=[57, 85], seed=2)
@@ -221,14 +224,45 @@ def test_census_points_report_sampler_diagnostics():
         sampler = SplitSampler(20, point.m)
         assert point.sampler.head_size == sampler.head_size
         assert point.sampler.build_s > 0
-    diagnostics = [(p.sampler.head_size, p.sampler.restarts) for p in serial.points]
-    assert diagnostics == [(p.sampler.head_size, p.sampler.restarts) for p in parallel.points]
-    assert sum(restarts for _, restarts in diagnostics) > 0
+        assert point.sampler.acceptance == 40 / (40 + point.sampler.restarts)
+
+    def diagnostics(report):
+        return [(p.sampler.head_size, p.sampler.restarts, p.sampler.acceptance) for p in report.points]
+
+    assert diagnostics(serial) == diagnostics(parallel)
+    assert sum(restarts for _, restarts, _ in diagnostics(serial)) > 0
+    assert min(acceptance for *_, acceptance in diagnostics(serial)) < 1
     assert serial.to_json() == parallel.to_json()
     assert '"sampler"' not in serial.to_json()
     assert json.loads(serial.to_json(deterministic=False))["points"][1]["sampler"][
         "restarts"
-    ] == diagnostics[1][1]
+    ] == serial.points[1].sampler.restarts
+
+
+@pytest.mark.parametrize("mode, mu", [("components", 0.0), ("blocks", -3.0)])
+def test_no_sampler_outlives_its_census(monkeypatch, mode, mu):
+    """At parallelism 1 a census drops each point's SplitSampler when it
+    returns, and also when a trial raises."""
+    refs = []
+    init = SplitSampler.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    def failing_sample(self, ctx):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(SplitSampler, "__init__", recording_init)
+    cfg = ExperimentConfig(n=300, mode=mode, trials=6, seed=4, mu_list=[mu])
+    RUNNERS[mode](cfg)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    monkeypatch.setattr(SplitSampler, "sample", failing_sample)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        RUNNERS[mode](cfg)
+    gc.collect()
+    assert len(refs) == 2 and refs[1]() is None
 
 
 def test_component_census_calls_the_hooks_the_benchmark_wraps(monkeypatch):
