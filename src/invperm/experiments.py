@@ -28,7 +28,6 @@ import numbers
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -314,6 +313,9 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int):
         finally:
             _WORKER.clear()
     else:
+        # imported here so an in-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=cfg.parallelism,
             initializer=_worker_init,

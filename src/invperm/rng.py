@@ -39,10 +39,6 @@ class SamplerContext:
             self._gen = np.random.Generator(np.random.Philox(ss))
         return self._gen
 
-    def spawn(self, *stream: int) -> "SamplerContext":
-        """Independent sub-stream sharing the same table and seed."""
-        return SamplerContext(self.table, self.seed, self.stream + stream)
-
     def with_table(self, table: "InversionTable | None") -> "SamplerContext":
         """This context over another table, drawing from the same generator.
 

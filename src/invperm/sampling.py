@@ -163,8 +163,9 @@ class SplitSampler:
     before it and its short local prefix sums, which together imply every
     full-width prefix sum exactly, in about 1/sqrt(a_max) of their space.
 
-    Draws reuse the sampler's work arrays, so a sampler serves one thread
-    at a time.
+    A tail is kept iff each x_{c+i} <= c+i-1; every bound is at least c, so
+    only the parts above c are checked, against no stored array of bounds.
+    Draws reuse the sampler's work arrays: one thread per sampler at a time.
     """
 
     def __init__(self, n: int, m: int, head_size: int | None = None):
@@ -201,8 +202,6 @@ class SplitSampler:
         self._bases, self._blocks, self._total = self._weight_blocks(
             a_max, mw, self._tail_parts
         )
-        # tail bound check: tail coordinate i (1-based) is x_{c+i} <= c+i-1
-        self._tail_bounds = np.arange(c, n, dtype=np.int64)
         # the tail's bar mask (all False between draws) and its parts, reused
         # by every draw: a draw's other arrays then take turns in memory of
         # about one sequence's size, which the C allocator keeps, instead of
@@ -262,7 +261,9 @@ class SplitSampler:
             a = self._head_sum(ctx.uniform_below(self._total))
             head = sample_inversion_sequence(c, a, head_ctx)
             tail = sample_composition(self._tail_parts, mw - a, ctx, self._mask, self._tail)
-            if np.all(tail <= self._tail_bounds):
+            # part i (0-based) is bounded by c + i >= c: check parts above c
+            over = np.flatnonzero(tail > c)
+            if np.all(tail[over] - over <= c):
                 x = np.concatenate([np.asarray(head, dtype=np.int64), tail])
                 if self.reflected:
                     x = np.arange(self.n, dtype=np.int64) - x

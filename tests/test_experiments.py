@@ -2,14 +2,18 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import invperm
 from invperm.counting import build_table, max_inversions
 from invperm.coupling import BetaTable, run_chain
 from invperm.experiments import (
@@ -263,6 +267,25 @@ def test_no_sampler_outlives_its_census(monkeypatch, mode, mu):
         RUNNERS[mode](cfg)
     gc.collect()
     assert len(refs) == 2 and refs[1]() is None
+
+
+def test_in_process_census_never_loads_the_process_pool():
+    """Importing invperm and running a census at parallelism 1 leave
+    ``concurrent.futures.process`` (and with it multiprocessing) unloaded;
+    the parallel path is covered by the byte-identical merge tests."""
+    src = str(Path(invperm.__file__).resolve().parents[1])
+    code = (
+        "import sys, invperm, invperm.cli; "
+        "from invperm.experiments import ExperimentConfig, run_component_census; "
+        "loaded = 'concurrent.futures.process' in sys.modules; "
+        "run_component_census(ExperimentConfig(n=60, mode='components', trials=5, seed=1, mu_list=[0.0])); "
+        "print(loaded, 'concurrent.futures.process' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "False"]
 
 
 def test_component_census_calls_the_hooks_the_benchmark_wraps(monkeypatch):

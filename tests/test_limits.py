@@ -216,11 +216,10 @@ def test_marked_contains_early_decomposition_points():
     from invperm.permutations import decomposition_points
 
     rng = np.random.default_rng(11)
-    ctx = SamplerContext(None, 78)
     for trial in range(30):
         parts = int(rng.integers(200, 600))
         total = 4 * parts
-        y = sample_composition(parts, total, ctx.spawn(trial))
+        y = sample_composition(parts, total, SamplerContext(None, 78, (trial,)))
         nu = 12
         limit = parts - 2 * nu
         dec = {d for d in decomposition_points(y) if d <= limit}

@@ -554,6 +554,36 @@ def test_split_draws_pinned():
     )
 
 
+def test_split_sampler_checks_bounds_only_above_the_head_size(monkeypatch):
+    """A proposal is kept exactly when every tail part i (0-based) is at
+    most c + i, the decision of a full comparison with arange(c, n); and
+    both kept and rejected proposals had parts above c, so the check of
+    those parts alone decided both ways."""
+    sampler = SplitSampler(40, 300, head_size=20)
+    c, n = sampler.head_size, sampler.n
+    tails = []
+    compose = sampling.sample_composition
+
+    def spy(*args):
+        tail = compose(*args)
+        tails.append(tail.copy())  # the sampler reuses its tail array
+        return tail
+
+    monkeypatch.setattr(sampling, "sample_composition", spy)
+    kept = []
+    for t in range(2000):
+        start = len(tails)
+        x = sampler.sample(SamplerContext(None, 36, (t,)))
+        # a draw rejects every proposal but its last, which it returns
+        kept += [False] * (len(tails) - start - 1) + [True]
+        assert x[c:].tolist() == tails[-1].tolist()
+    assert sampler.restarts == len(tails) - 2000 > 1000
+    bounds = np.arange(c, n)
+    assert kept == [bool(np.all(tail <= bounds)) for tail in tails]
+    above = [ok for ok, tail in zip(kept, tails) if (tail > c).any()]
+    assert True in above and False in above
+
+
 @pytest.mark.parametrize(
     "args",
     [(100.0, 50), (100, 50.5), (True, 0), (100, False), (100, 50, True), (100, 50, 20.0), ("9", 3)],
