@@ -9,6 +9,7 @@ ratios of these counts, so no floating point is allowed here.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
@@ -268,12 +269,13 @@ def load_table(path: str) -> InversionTable:
                 if nentries != width:
                     raise ValueError(f"cache row {n} has {nentries} entries, expected {width}")
                 row = []
+                left = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes not yet read
                 for _ in range(nentries):
                     (nbytes,) = struct.unpack("<Q", fh.read(8))
-                    blob = fh.read(nbytes)
-                    if len(blob) != nbytes:
-                        raise ValueError("truncated inversion-table cache")
-                    row.append(int.from_bytes(blob, "little"))
+                    left -= 8 + nbytes
+                    if left < 0:
+                        raise ValueError(f"truncated inversion-table cache: {nbytes}-byte value")
+                    row.append(int.from_bytes(fh.read(nbytes), "little"))
                 mirror = _mirror(row, n, width)
                 half = width - len(mirror)
                 if row[half:] != mirror:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +33,23 @@ import numpy as np
 from .counting import build_table, max_inversions
 from .rng import SamplerContext
 
-# slots of the boolean mask ``sample_composition`` allocates (one byte each)
+# slots of the boolean mask ``sample_composition`` marks (one byte each)
 MAX_COMPOSITION_SLOTS = 1 << 28
 # consecutive rejected proposals after which ``SplitSampler.sample`` gives
 # up; the default head size rejects about one proposal in a hundred
 MAX_RESTARTS = 10_000
+# each thread's draw scratch: a bar mask (all False between draws) and a
+# parts array, as long as the largest draw or SplitSampler made in it
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, size: int, dtype) -> np.ndarray:
+    """This thread's scratch ``name``; one shorter than ``size`` is replaced."""
+    held = vars(_scratch)
+    if len(held.get(name, ())) < size:
+        held.pop(name, None)  # dropped before its successor is allocated
+        held[name] = np.zeros(size, dtype=dtype)
+    return held[name]
 
 
 def _is_int(value) -> bool:
@@ -83,10 +96,11 @@ def sample_composition(
     collector (total = 0 draws nothing).
 
     ``mask``, when given, is an all-False boolean array of at least
-    total + parts - 1 entries that the draw marks instead of a fresh one;
-    it is all False again on return, also when the draw raises.  ``out``,
-    when given, is an int64 array of ``parts`` entries that receives the
-    parts and is returned.  Either way the draw is the same.
+    total + parts - 1 entries that the draw marks; when None, the draw
+    marks this thread's scratch mask, grown to the slots first if shorter.
+    Either mask is all False again on return, also when the draw raises.
+    ``out``, when given, is an int64 array of ``parts`` entries that
+    receives the parts and is returned.  Either way the draw is the same.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
@@ -98,11 +112,13 @@ def sample_composition(
             f"composition of total={total} into parts={parts} needs {slots} "
             f"slots, above {MAX_COMPOSITION_SLOTS}"
         )
-    if mask is not None and len(mask) < slots:
+    if mask is None:
+        mask = _scratch_array("mask", slots, bool)
+    elif len(mask) < slots:
         raise ValueError(f"mask of {len(mask)} slots is shorter than {slots}")
     drawn = min(parts - 1, total)
     gen = ctx.generator
-    marks = np.zeros(slots, dtype=bool) if mask is None else mask[:slots]
+    marks = mask[:slots]
     try:
         missing = drawn
         while missing:
@@ -112,8 +128,7 @@ def sample_composition(
             np.logical_not(marks, out=marks)
         bars = np.flatnonzero(marks)
     finally:
-        if mask is not None:
-            marks.fill(False)
+        marks.fill(False)
     # part i is the gap between bars i-1 and i, with bars at -1 and slots
     # closing the row
     if out is None:
@@ -165,7 +180,8 @@ class SplitSampler:
 
     A tail is kept iff each x_{c+i} <= c+i-1; every bound is at least c, so
     only the parts above c are checked, against no stored array of bounds.
-    Draws reuse the sampler's work arrays: one thread per sampler at a time.
+    Draws use the drawing thread's scratch (a build grows its mask): threads
+    may draw at once, though ``restarts`` is exact only when one thread draws.
     """
 
     def __init__(self, n: int, m: int, head_size: int | None = None):
@@ -202,13 +218,8 @@ class SplitSampler:
         self._bases, self._blocks, self._total = self._weight_blocks(
             a_max, mw, self._tail_parts
         )
-        # the tail's bar mask (all False between draws) and its parts, reused
-        # by every draw: a draw's other arrays then take turns in memory of
-        # about one sequence's size, which the C allocator keeps, instead of
-        # growing the heap by several and handing it back after each draw
-        self._mask = np.zeros(slots, dtype=bool)
-        self._tail = np.empty(self._tail_parts, dtype=np.int64)
         self.restarts = 0
+        _scratch_array("mask", slots, bool)  # grown here, not mid-draw: fewer page faults
 
     def _weight_blocks(self, a_max: int, m: int, parts: int):
         """Per block, the exact prefix sum before it, and (a0, P, local
@@ -257,10 +268,12 @@ class SplitSampler:
         c = self.head_size
         mw = self._m_work
         head_ctx = ctx.with_table(self.table)
+        # a reused tail keeps a draw's other arrays in allocator-held memory
+        out = _scratch_array("parts", self._tail_parts, np.int64)[: self._tail_parts]
         for _ in range(MAX_RESTARTS + 1):
             a = self._head_sum(ctx.uniform_below(self._total))
             head = sample_inversion_sequence(c, a, head_ctx)
-            tail = sample_composition(self._tail_parts, mw - a, ctx, self._mask, self._tail)
+            tail = sample_composition(self._tail_parts, mw - a, ctx, None, out)
             # part i (0-based) is bounded by c + i >= c: check parts above c
             over = np.flatnonzero(tail > c)
             if np.all(tail[over] - over <= c):

@@ -71,6 +71,24 @@ def test_count_rejects_cache_whose_row_halves_differ(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nbytes", [1 << 62, (1 << 63) + 5])
+def test_count_rejects_cache_with_value_length_past_the_end(tmp_path, capsys, nbytes):
+    import struct
+
+    from invperm.counting import build_table, save_table
+
+    cache = tmp_path / "bad.ivtb"
+    save_table(build_table(4), str(cache))
+    data = bytearray(cache.read_bytes())
+    data[28:36] = struct.pack("<Q", nbytes)  # the first value's length, after row 0's count
+    cache.write_bytes(data)
+    code, out, err = run_cli(capsys, "count", "4", "2", "--table", str(cache))
+    assert code == 2 and out == ""
+    assert err == (
+        f"invperm count: cannot read table cache: truncated inversion-table cache: {nbytes}-byte value\n"
+    )
+
+
 def test_blocks_json(capsys):
     code, out, _ = run_cli(capsys, "blocks", "--perm", "2,4,1,3,5,8,6,7")
     assert code == 0

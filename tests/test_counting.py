@@ -211,6 +211,22 @@ def test_cache_rejects_truncation(tmp_path):
             load_table(str(path))
 
 
+@pytest.mark.parametrize("nbytes", [1 << 62, (1 << 63) + 5, 2**32, None])
+def test_cache_rejects_value_length_past_the_end(tmp_path, nbytes):
+    """A value's length field is never trusted past the file's end: a huge
+    length raises ``ValueError`` before anything of that size is read, as
+    does one byte more than is left (``None``)."""
+    path = tmp_path / "table.bin"
+    save_table(build_table(4), str(path))
+    data = bytearray(path.read_bytes())
+    at = _entry_offset(data, 0, 0) - 8
+    left = len(data) - at - 8
+    data[at : at + 8] = struct.pack("<Q", left + 1 if nbytes is None else nbytes)
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="truncated inversion-table cache"):
+        load_table(str(path))
+
+
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         build_table(0)

@@ -2,6 +2,9 @@ import bisect
 import hashlib
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -517,17 +520,106 @@ class _InterruptedGenerator:
 
 
 def test_split_sampler_draw_after_an_interrupted_one_is_a_fresh_samplers():
-    """A draw that raises after marking the reused mask leaves it all
-    False, so the sampler's next draws are a fresh sampler's."""
+    """A draw that raises after marking the thread's scratch mask leaves it
+    all False, so the sampler's next draws are a fresh sampler's."""
     sampler = SplitSampler(60, 150, head_size=20)
     interrupted = _InterruptedGenerator(ctx(34).generator)
     with pytest.raises(_Unscripted):
         sampler.sample(SamplerContext(None, 0, _gen=interrupted))
     assert interrupted.calls == 2
-    assert not sampler._mask.any()
+    assert not sampling._scratch.mask.any()
     fresh = SplitSampler(60, 150, head_size=20)
     for t in range(5):
         assert sampler.sample(ctx(35, t)).tolist() == fresh.sample(ctx(35, t)).tolist()
+
+
+def test_split_sampler_draws_from_threads_at_once():
+    """Three threads drawing from one sampler at once each get, for every
+    (seed, stream), the draw of a sequential call, and leave their own
+    scratch mask all False."""
+    sampler = SplitSampler(20_000, 120_000)
+    streams = {k: [(37 + k, (k, t)) for t in range(12)] for k in range(3)}
+    expected = {
+        k: [sampler.sample(SamplerContext(None, seed, s)).tolist() for seed, s in keys]
+        for k, keys in streams.items()
+    }
+    got, clean = {}, {}
+    start = threading.Barrier(len(streams))
+
+    def draw(k):
+        start.wait()
+        got[k] = [sampler.sample(SamplerContext(None, seed, s)).tolist() for seed, s in streams[k]]
+        clean[k] = not sampling._scratch.mask.any()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside draws, not between them
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in streams]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+    assert clean == dict.fromkeys(streams, True)
+
+
+def _traced_growth(build):
+    """Traced bytes still held after ``build()`` made a sampler and drew
+    from it once, with the draw dropped; and the sampler."""
+    before = tracemalloc.get_traced_memory()[0]
+    sampler = build()
+    sampler.sample(SamplerContext(None, 38))
+    return tracemalloc.get_traced_memory()[0] - before, sampler
+
+
+def test_a_second_live_split_sampler_holds_no_draw_scratch():
+    """Drawn after a first sampler, a second live SplitSampler(10^5, m)
+    grows traced memory by its tables alone: the bar mask and parts array
+    (about 1.7 MB) are the thread's, grown once by the first sampler.  A
+    fresh thread starts with no scratch."""
+    n, m = 100_000, 764_911
+    SplitSampler(2_000, 9_000).sample(SamplerContext(None, 38))  # warm numpy up
+    growth = {}
+
+    def fresh_thread():
+        tracemalloc.start()
+        try:
+            growth["first"], growth["sampler"] = _traced_growth(lambda: SplitSampler(n, m))
+            growth["second"], _ = _traced_growth(lambda: SplitSampler(n, m))
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=fresh_thread)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    parts = n - growth["sampler"].head_size
+    scratch = (m + parts - 1) + 8 * parts
+    assert growth["first"] - growth["second"] > 0.95 * scratch
+    assert growth["second"] < growth["first"] - scratch + 64 * 1024
+
+
+def test_oversized_composition_raises_before_the_scratch_grows(monkeypatch):
+    """A composition above MAX_COMPOSITION_SLOTS is refused before the
+    thread's scratch mask is allocated or grown."""
+    monkeypatch.setattr(sampling, "MAX_COMPOSITION_SLOTS", 10)
+    held = {}
+
+    def fresh_thread():
+        with pytest.raises(ValueError, match="above 10"):
+            sample_composition(5, 7, ctx(11))
+        held["before"] = dict(vars(sampling._scratch))
+        sample_composition(5, 6, ctx(11))
+        held["after"] = len(sampling._scratch.mask)
+
+    thread = threading.Thread(target=fresh_thread)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert held == {"before": {}, "after": 10}
 
 
 def test_split_draws_pinned():
