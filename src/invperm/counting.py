@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
@@ -247,13 +248,17 @@ def save_table(table: InversionTable, path: str) -> None:
 def load_table(path: str) -> InversionTable:
     """Read a cache produced by :func:`save_table`, validating the header.
 
-    A malformed or truncated cache, a row whose entry count is not the
+    A malformed or truncated cache (a value length past the size of a
+    regular file is refused unread), a row whose entry count is not the
     min(C(n,2), m_cap) + 1 that ``build_table`` stores, or a row whose
     entries m above C(n,2)/2 differ from those at C(n,2) - m raises
     ``ValueError``.  Those entries then share the int objects at
     C(n,2) - m, as in a built table.
     """
     with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        # no value is longer than a regular file; a pipe's length is unknown
+        size = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not an inversion-table cache (magic {magic!r})")
@@ -269,13 +274,12 @@ def load_table(path: str) -> InversionTable:
                 if nentries != width:
                     raise ValueError(f"cache row {n} has {nentries} entries, expected {width}")
                 row = []
-                left = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes not yet read
                 for _ in range(nentries):
                     (nbytes,) = struct.unpack("<Q", fh.read(8))
-                    left -= 8 + nbytes
-                    if left < 0:
+                    blob = fh.read(nbytes) if nbytes <= size else b""
+                    if len(blob) != nbytes:
                         raise ValueError(f"truncated inversion-table cache: {nbytes}-byte value")
-                    row.append(int.from_bytes(fh.read(nbytes), "little"))
+                    row.append(int.from_bytes(blob, "little"))
                 mirror = _mirror(row, n, width)
                 half = width - len(mirror)
                 if row[half:] != mirror:

@@ -46,7 +46,7 @@ _scratch = threading.local()
 def _scratch_array(name: str, size: int, dtype) -> np.ndarray:
     """This thread's scratch ``name``; one shorter than ``size`` is replaced."""
     held = vars(_scratch)
-    if len(held.get(name, ())) < size:
+    if name not in held or len(held[name]) < size:
         held.pop(name, None)  # dropped before its successor is allocated
         held[name] = np.zeros(size, dtype=dtype)
     return held[name]
@@ -80,7 +80,6 @@ def sample_composition(
     parts: int,
     total: int,
     ctx: SamplerContext,
-    mask: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform composition of ``total`` into ``parts`` nonnegative parts.
@@ -95,12 +94,11 @@ def sample_composition(
     the complement, so a near-full subset never becomes a coupon
     collector (total = 0 draws nothing).
 
-    ``mask``, when given, is an all-False boolean array of at least
-    total + parts - 1 entries that the draw marks; when None, the draw
-    marks this thread's scratch mask, grown to the slots first if shorter.
-    Either mask is all False again on return, also when the draw raises.
-    ``out``, when given, is an int64 array of ``parts`` entries that
-    receives the parts and is returned.  Either way the draw is the same.
+    The draw marks this thread's scratch mask, grown to the slots first if
+    shorter and held until the thread ends; it is all False again on
+    return, also when the draw raises.  ``out``, when given, is an int64
+    array of ``parts`` entries that receives the parts and is returned.
+    Either way the draw is the same.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
@@ -112,13 +110,9 @@ def sample_composition(
             f"composition of total={total} into parts={parts} needs {slots} "
             f"slots, above {MAX_COMPOSITION_SLOTS}"
         )
-    if mask is None:
-        mask = _scratch_array("mask", slots, bool)
-    elif len(mask) < slots:
-        raise ValueError(f"mask of {len(mask)} slots is shorter than {slots}")
     drawn = min(parts - 1, total)
     gen = ctx.generator
-    marks = mask[:slots]
+    marks = _scratch_array("mask", slots, bool)[:slots]
     try:
         missing = drawn
         while missing:
@@ -180,8 +174,9 @@ class SplitSampler:
 
     A tail is kept iff each x_{c+i} <= c+i-1; every bound is at least c, so
     only the parts above c are checked, against no stored array of bounds.
-    Draws use the drawing thread's scratch (a build grows its mask): threads
-    may draw at once, though ``restarts`` is exact only when one thread draws.
+    Draws use the drawing thread's scratch, which a build grows and which is
+    held until the thread ends: threads may draw at once, though
+    ``restarts`` is exact only when one thread draws.
     """
 
     def __init__(self, n: int, m: int, head_size: int | None = None):
@@ -273,7 +268,7 @@ class SplitSampler:
         for _ in range(MAX_RESTARTS + 1):
             a = self._head_sum(ctx.uniform_below(self._total))
             head = sample_inversion_sequence(c, a, head_ctx)
-            tail = sample_composition(self._tail_parts, mw - a, ctx, None, out)
+            tail = sample_composition(self._tail_parts, mw - a, ctx, out)
             # part i (0-based) is bounded by c + i >= c: check parts above c
             over = np.flatnonzero(tail > c)
             if np.all(tail[over] - over <= c):

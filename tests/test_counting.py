@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import struct
+import threading
 
 import pytest
 
@@ -225,6 +227,23 @@ def test_cache_rejects_value_length_past_the_end(tmp_path, nbytes):
     path.write_bytes(data)
     with pytest.raises(ValueError, match="truncated inversion-table cache"):
         load_table(str(path))
+
+
+def test_cache_loads_through_a_pipe(tmp_path):
+    """A cache read through a FIFO, whose size is unknown, loads as from
+    its file."""
+    path = tmp_path / "table.bin"
+    save_table(build_table(6, m_cap=9), str(path))
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        piped = load_table(str(fifo))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped._rows == load_table(str(path))._rows
 
 
 def test_build_rejects_bad_args():

@@ -334,31 +334,33 @@ def test_composition_draws_the_fewer_of_bars_and_stars():
     [(40, 200), (200, 40), (5, 0), (1, 9), (1, 0)],
 )
 def test_composition_reused_mask_gives_the_fresh_masks_draw(parts, total):
-    """Through a longer reused mask, and into a given output array, the
-    composition and the stream after it are those of a fresh mask, and
-    the mask is all False again."""
-    mask = np.zeros(total + parts + 6, dtype=bool)
+    """Through the thread's scratch mask, grown longer than the slots by an
+    earlier draw, and into a given output array, the composition and the
+    stream after it are those of a fresh scratch, and the scratch is all
+    False again."""
     out = np.full(parts, -1, dtype=np.int64)
     for t in range(10):
         fresh, reused = ctx(30, t), ctx(30, t)
+        vars(sampling._scratch).clear()
         y = sample_composition(parts, total, fresh)
-        assert sample_composition(parts, total, reused, mask, out) is out
+        sample_composition(parts + 3, total + 4, ctx(29))  # the scratch outgrows the slots
+        assert len(sampling._scratch.mask) > total + parts - 1
+        assert sample_composition(parts, total, reused, out) is out
         assert out.tolist() == y.tolist()
-        assert not mask.any()
+        assert not sampling._scratch.mask.any()
         after = fresh.generator.bit_generator.random_raw()
         assert reused.generator.bit_generator.random_raw() == after
 
 
 def test_composition_reused_mask_draws_nothing_when_nothing_is_missing():
-    """total = 0 and a single part make no ``integers`` call, with a
-    reused mask as without; a mask shorter than the slots is refused."""
-    mask = np.zeros(8, dtype=bool)
+    """total = 0 and a single part make no ``integers`` call, through a
+    thread scratch longer than the slots, which stays all False."""
+    sample_composition(5, 4, ctx(31))  # 8 slots
     for parts, total in [(4, 0), (1, 5)]:
         nothing = SamplerContext(None, 0, _gen=_ScriptedGenerator([]))
-        assert sample_composition(parts, total, nothing, mask).sum() == total
-        assert not mask.any()
-    with pytest.raises(ValueError, match="shorter"):
-        sample_composition(5, 5, ctx(31), mask)
+        assert sample_composition(parts, total, nothing).sum() == total
+        assert len(sampling._scratch.mask) >= 8
+        assert not sampling._scratch.mask.any()
 
 
 def test_composition_checks_size_before_allocating(monkeypatch):
@@ -600,6 +602,22 @@ def test_a_second_live_split_sampler_holds_no_draw_scratch():
     scratch = (m + parts - 1) + 8 * parts
     assert growth["first"] - growth["second"] > 0.95 * scratch
     assert growth["second"] < growth["first"] - scratch + 64 * 1024
+
+
+def test_zero_slot_draws_in_a_fresh_thread():
+    """A composition of no slots, and a SplitSampler whose tail has none,
+    build and draw in a thread that holds no scratch yet."""
+    got = {}
+
+    def fresh_thread():
+        got["composition"] = sample_composition(1, 0, ctx(12)).tolist()
+        got["sequences"] = [SplitSampler(2, m).sample(ctx(12)).tolist() for m in (0, 1)]
+
+    thread = threading.Thread(target=fresh_thread)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert got == {"composition": [0], "sequences": [[0, 0], [0, 1]]}
 
 
 def test_oversized_composition_raises_before_the_scratch_grows(monkeypatch):
