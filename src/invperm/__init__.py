@@ -22,7 +22,6 @@ from .coupling import (
     materialize_rho,
     rho_entry,
     run_chain,
-    solve_betas,
     symbolic_chain_distributions,
 )
 from .experiments import (

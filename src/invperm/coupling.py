@@ -24,6 +24,7 @@ with beta_k = 1 where d_k = 0 and beta_k = 0 for k > min(n-1, m+1).  Both
 D's are window sums of row n-1; every count here is read in O(1) from the
 prefix-summed rows n and n-1, each built whole on first use, so a beta is
 an integer pair (numerator, denominator) from a few big-integer products.
+``BetaTable.beta`` is the one beta; the step walk below inlines its formula.
 
 A step is one top-down walk over the levels L = n, n-1, ..., 2 with a
 budget b and an orientation.  Forward, the walk adds a ball to x[:L];
@@ -66,27 +67,6 @@ class BetaSolveError(AssertionError):
     """Internal-consistency failure of the beta system (never expected)."""
 
 
-@dataclass(frozen=True)
-class BetaEntry:
-    """Solved parameters for one (level, budget), or a reflection marker."""
-
-    n: int
-    m: int
-    reflected: bool
-    reflected_budget: int | None
-    values: tuple[Fraction, ...] | None
-
-
-def _beta(here: list[int], below: list[int], m: int, i: int) -> tuple[int, int]:
-    """beta_i(n, m) as (num, den) from prefix rows n and n-1; direct m, 0 < i <= min(n-1, m+1)."""
-    d_i = below[m + 2 - i] - below[m + 1 - i]
-    if d_i == 0:
-        return 1, 1
-    big, small = here[m + 2] - here[m + 1], here[m + 1] - here[m]
-    num = big * (below[m + 1] - below[m + 1 - i]) - small * (below[m + 2] - below[m + 2 - i])
-    return num, big * d_i
-
-
 class BetaTable:
     """Closed-form betas over a shared count table.
 
@@ -113,19 +93,11 @@ class BetaTable:
             row = self._rows[level] = list(accumulate(islice(counts, width), initial=0))
         return row
 
-    def entry(self, n: int, m: int) -> BetaEntry:
-        if n < 2 or not 0 <= m <= max_inversions(n) - 1:
-            raise ValueError(f"no transition matrix for (n={n}, m={m})")
-        if 2 * m >= max_inversions(n):
-            return BetaEntry(n, m, True, max_inversions(n) - 1 - m, None)
-        values = tuple(
-            Fraction(*self.beta(n, m, i)) for i in range(1, min(n - 1, m + 1) + 1)
-        )
-        return BetaEntry(n, m, False, None, values)
-
     def beta(self, n: int, m: int, i: int) -> tuple[int, int]:
-        """beta_i(n, m) as (numerator, denominator) for a direct budget;
-        0 outside 1..min(n-1, m+1)."""
+        """beta_i(n, m) as (numerator, denominator) for a direct budget
+        (0 <= 2m < C(n,2)); 0 outside 1..min(n-1, m+1)."""
+        if n < 2 or m < 0:
+            raise ValueError(f"no transition matrix for (n={n}, m={m})")
         if 2 * m >= max_inversions(n):
             raise ValueError(f"budget {m} of level {n} must be reflected")
         if i <= 0 or i > min(n - 1, m + 1):
@@ -133,15 +105,15 @@ class BetaTable:
         here, below = self.prefix_row(n), self.prefix_row(n - 1)
         if m + 2 >= len(below):
             raise ValueError(f"s({n},{m + 1}) not stored (column cap {self.table.m_cap})")
-        num, den = _beta(here, below, m, i)
+        d_i = below[m + 2 - i] - below[m + 1 - i]
+        if d_i == 0:
+            return 1, 1
+        big, small = here[m + 2] - here[m + 1], here[m + 1] - here[m]
+        num = big * (below[m + 1] - below[m + 1 - i]) - small * (below[m + 2] - below[m + 2 - i])
+        den = big * d_i
         if not 0 <= num <= den:
             raise BetaSolveError(f"beta_{i}({n},{m}) = {num}/{den} outside [0,1]")
         return num, den
-
-
-def solve_betas(n: int, m: int, table: InversionTable) -> BetaEntry:
-    """Solve the beta system for (n, m), or mark the budget as reflected."""
-    return BetaTable(table).entry(n, m)
 
 
 def rho_entry(
@@ -192,7 +164,6 @@ def enumerate_inversion_sequences(n: int, m: int) -> list[tuple[int, ...]]:
             rec(level - 1, budget - v, (v,) + suffix)
 
     rec(n, m, ())
-    out.sort(key=lambda t: t[::-1])
     return out
 
 
@@ -274,7 +245,7 @@ def step_stops(
             # row k is never wider than row k + 1, so one check covers both
             if b + 2 >= len(below):
                 raise ValueError(f"s({k + 1},{b + 1}) not stored (column cap {betas.table.m_cap})")
-            # _beta inlined; flipped, num/(S d_i) * S/s is num/(d_i s)
+            # BetaTable.beta inlined; flipped, num/(S d_i) * S/s is num/(d_i s)
             big, small = here[b + 2] - here[b + 1], here[b + 1] - here[b]
             num = big * (below[b + 1] - below[b + 1 - i]) - small * (below[b + 2] - below[b + 2 - i])
             yield k, num, (below[b + 2 - i] - below[b + 1 - i]) * (small if flipped else big)

@@ -229,16 +229,18 @@ class Report:
             payload.pop("wall_seconds")
             for point in payload.get("points", ()):
                 point.pop("sampler")
-        return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+        return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _jsonable(value):
     """Dict keys as text before ``sort_keys`` (so ``"10"`` sorts before
-    ``"2"``), and fractions as ``"p/q"``."""
+    ``"2"``), fractions as ``"p/q"``, and inf or nan (not JSON) as ``null``."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return str(value) if isinstance(value, Fraction) else value
 
 

@@ -52,6 +52,8 @@ def euler_h(q: float, tol: float = 1e-12) -> float:
     for _ in range(k):
         power *= q
         prod *= 1.0 - power
+        if prod == 0.0:
+            break  # underflowed, and it only shrinks; q near 1 has K ~ 1/(1-q)
     return prod
 
 
@@ -90,7 +92,7 @@ def classify_regime(n: int, m: int) -> str:
     return REGIME_THRESHOLD
 
 
-def threshold_params(n: int, m: int, tol: float = 1e-14) -> ThresholdParams:
+def threshold_params(n: int, m: int) -> ThresholdParams:
     """alpha, q, nu, h, and the Poisson mean lambda = n*h for (n, m)."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -99,7 +101,7 @@ def threshold_params(n: int, m: int, tol: float = 1e-14) -> ThresholdParams:
     alpha = m / n
     q = alpha / (alpha + 1.0)
     nu = max(1, math.ceil(2.0 * (alpha + 1.0) * math.log(n)))
-    h = euler_h(q, tol)
+    h = euler_h(q, 1e-14)
     return ThresholdParams(
         n=n,
         m=m,

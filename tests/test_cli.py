@@ -208,6 +208,32 @@ def test_params_json_and_errors(capsys):
     assert code == 2
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_params_near_q_one_returns_at_once(capsys):
+    """q = 1 - 1e-7: h underflows to 0.0, and the call does not run all
+    of the Euler product's 4.8e8 factors."""
+    code, out, _ = run_cli(capsys, "params", "--n", "100000000", "--m", "1000000000000000")
+    assert code == 0
+    assert _strict_json(out)["lambda"] == 0.0
+
+
+def test_census_with_one_trial_writes_strict_json(capsys, tmp_path):
+    """One trial has no spread, so mean_gap_sigma is written as null."""
+    code, out, _ = run_cli(
+        capsys, "census", "--mode", "components", "--n", "30", "--m", "60",
+        "--trials", "1", "--out", str(tmp_path),
+    )
+    assert code in (0, 1)
+    for text in (out, (tmp_path / "components_n30_seed0.json").read_text()):
+        assert _strict_json(text)["points"][0]["mean_gap_sigma"] is None
+
+
 def test_census_flag_config(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

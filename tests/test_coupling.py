@@ -15,7 +15,6 @@ from invperm.coupling import (
     materialize_rho,
     rho_entry,
     run_chain,
-    solve_betas,
     step_stops,
     symbolic_chain_distributions,
 )
@@ -27,26 +26,21 @@ BT = BetaTable(TABLE)
 F = Fraction
 
 
+def _betas(n, m, bt=BT):
+    """beta_1..beta_min(n-1, m+1)(n, m) as Fractions."""
+    return tuple(F(*bt.beta(n, m, i)) for i in range(1, min(n - 1, m + 1) + 1))
+
+
 def test_solve_betas_worked_example():
-    entry = solve_betas(4, 2, TABLE)
-    assert not entry.reflected
-    assert entry.values == (F(7, 12), F(9, 12), F(10, 12))
-
-
-def test_solve_betas_reflection_marker():
-    entry = solve_betas(4, 3, TABLE)  # C(4,2)/2 = 3 -> reflected
-    assert entry.reflected
-    assert entry.reflected_budget == 2
-    assert entry.values is None
-    entry = solve_betas(5, 9, TABLE)
-    assert entry.reflected and entry.reflected_budget == 0
+    assert _betas(4, 2) == (F(7, 12), F(9, 12), F(10, 12))
 
 
 def test_solve_betas_bad_args():
     with pytest.raises(ValueError):
-        solve_betas(4, 6, TABLE)  # m = C(4,2) has no outgoing matrix
-    with pytest.raises(ValueError):
-        solve_betas(1, 0, TABLE)
+        BT.beta(4, 6, 1)  # m = C(4,2) has no outgoing matrix
+    for n, m in ((1, 0), (0, 0), (1, -1), (4, -1), (12, -5)):
+        with pytest.raises(ValueError, match="no transition matrix"):
+            BT.beta(n, m, 1)  # n < 2 or m < 0
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -55,8 +49,8 @@ def test_beta_system_holds_exactly(n):
     budget: beta_{k-1} + (1 - beta_k) gamma_{k-1} = gamma wherever the
     column block is nonempty, beta_0 = 0, all values in [0, 1]."""
     for m in range((max_inversions(n) + 1) // 2):
-        entry = solve_betas(n, m, TABLE)
-        betas = (F(0),) + entry.values + (F(0),) * (n - len(entry.values))
+        values = _betas(n, m)
+        betas = (F(0),) + values + (F(0),) * (n - len(values))
         gamma = F(TABLE.count(n, m), TABLE.count(n, m + 1))
         for k in range(1, n + 1):
             cols = TABLE.count(n - 1, m + 2 - k)
@@ -64,10 +58,10 @@ def test_beta_system_holds_exactly(n):
                 continue  # no columns with y_n = k-1: equation is vacuous
             gk = F(TABLE.count(n - 1, m - k + 1), cols)
             assert betas[k - 1] + (1 - betas[k]) * gk == gamma
-        for b in entry.values:
+        for b in values:
             assert 0 <= b <= 1
         if m <= n - 2:
-            assert entry.values[m] == gamma
+            assert values[m] == gamma
 
 
 def _recurrence_betas(n, m, table):
@@ -155,7 +149,7 @@ def test_step_walk_multiplies_out_to_rho(n):
     """The stop probabilities of the walk that chain_step runs, multiplied
     out level by level, equal rho_entry on every (state, budget) row.
     rho_entry reads BetaTable.beta, so this checks the walk's inlined
-    closed form against the module's one formula, _beta."""
+    closed form against the module's one beta."""
     for m in range(max_inversions(n)):
         _walk_multiplies_out_to_rho(n, m, BT)
 
@@ -173,6 +167,17 @@ def test_step_walk_multiplies_out_to_rho_on_capped_table():
                 _walk_multiplies_out_to_rho(n, m, bt)
                 checked += 1
     assert checked == 1 + 3 + 6 + 10 + 15 + 16
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_comes_out_in_reverse_lex_order(n):
+    """The recursion fixes x_n first, then x_{n-1}, ..., each ascending, so
+    the list is already sorted by reversed tuple, with s(n, m) entries."""
+    for m in range(max_inversions(n) + 1):
+        space = enumerate_inversion_sequences(n, m)
+        assert space == sorted(space, key=lambda t: t[::-1]), (n, m)
+        assert len(set(space)) == len(space) == TABLE.count(n, m)
+        assert all(sum(x) == m and all(v < i for i, v in enumerate(x, 1)) for x in space)
 
 
 def test_rho_3_matches_displayed_matrices():

@@ -190,6 +190,17 @@ def test_component_census_trivial_regimes():
     assert min(decomposable.histogram) >= 1  # C >= 2 in every trial
     assert indecomposable.regime == "always_indecomposable"
     assert indecomposable.histogram == {0: cfg.trials}
+    # no spread: mean_gap_sigma is inf, which the report writes as null,
+    # so a strict parser (no Infinity or NaN tokens) accepts it
+    assert indecomposable.mean_gap_sigma == math.inf
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for deterministic in (True, False):
+        payload = json.loads(report.to_json(deterministic), parse_constant=refuse)
+        assert payload["points"][0]["mean_gap_sigma"] == decomposable.mean_gap_sigma
+        assert payload["points"][1]["mean_gap_sigma"] is None
 
 
 def test_component_census_conservation_and_report():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -76,6 +77,15 @@ def test_euler_h_strictly_decreasing_grid():
     grid = np.linspace(1e-4, 0.999, 1000)
     values = [euler_h(float(q), 1e-13) for q in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_euler_h_near_one_underflows_quickly():
+    """K ~ log(tol (1-q)) / log q is about 4.8e8 at q = 1 - 1e-7, but the
+    product reaches 0.0 within a few dozen factors and stops there."""
+    t0 = time.perf_counter()
+    assert euler_h(1 - 1e-7) == 0.0
+    assert euler_h(1 - 1e-7, 1e-14) == 0.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_euler_h_errors():
