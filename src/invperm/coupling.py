@@ -71,13 +71,16 @@ class BetaTable:
     """Closed-form betas over a shared count table.
 
     Holds one prefix-summed count row per level, built whole on first use
-    and as wide as a beta of that level or the next reads; the table itself
-    is not modified.  Safe for concurrent readers with per-thread instances.
+    and as wide as a beta of that level or the next reads.  It does not
+    modify the table, which may gain rows (``InversionTable.grow``) while it
+    lives; their levels are then read like the others.  Safe for concurrent
+    readers with per-thread instances.
     """
 
     def __init__(self, table: InversionTable):
         self.table = table
-        self._rows: list[list[int] | None] = [None] * (table.max_n + 1)
+        # index = level; extended when a level past its end is first built
+        self._rows: list[list[int] | None] = []
 
     def prefix_row(self, level: int) -> list[int]:
         """Running sums P[k] = s(level, 0) + ... + s(level, k-1) for k up to
@@ -90,7 +93,10 @@ class BetaTable:
                 width = min(width, self.table.m_cap + 1)
             last = min(max_inversions(level), width - 1)
             counts = chain(self.table.counts(level, 0, last), repeat(0))
-            row = self._rows[level] = list(accumulate(islice(counts, width), initial=0))
+            row = list(accumulate(islice(counts, width), initial=0))
+            # the table has checked the level, so the list grows at most to it
+            self._rows += [None] * (level + 1 - len(self._rows))
+            self._rows[level] = row
         return row
 
     def beta(self, n: int, m: int, i: int) -> tuple[int, int]:

@@ -26,11 +26,12 @@ import bisect
 import math
 import numbers
 import threading
+import weakref
 from typing import Sequence
 
 import numpy as np
 
-from .counting import build_table, max_inversions
+from .counting import InversionTable, build_table, max_inversions
 from .rng import SamplerContext
 
 # slots of the boolean mask ``sample_composition`` marks (one byte each)
@@ -41,6 +42,10 @@ MAX_RESTARTS = 10_000
 # each thread's draw scratch: a bar mask (all False between draws) and a
 # parts array, as long as the largest draw or SplitSampler made in it
 _scratch = threading.local()
+# the head tables of the live SplitSamplers, one per column cap (None for
+# whole rows), each as tall as the tallest head that holds it
+_head_tables: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_head_lock = threading.Lock()
 
 
 def _scratch_array(name: str, size: int, dtype) -> np.ndarray:
@@ -50,6 +55,19 @@ def _scratch_array(name: str, size: int, dtype) -> np.ndarray:
         held.pop(name, None)  # dropped before its successor is allocated
         held[name] = np.zeros(size, dtype=dtype)
     return held[name]
+
+
+def _head_table(rows: int, m_cap: int | None) -> InversionTable:
+    """The live head table capped at ``m_cap``, grown to ``rows`` rows, or a
+    new one; a grow or build past ``MAX_TABLE_CELLS`` raises and changes
+    nothing."""
+    with _head_lock:
+        table = _head_tables.get(m_cap)
+        if table is None:
+            table = _head_tables[m_cap] = build_table(rows, m_cap)
+        else:
+            table.grow(rows)
+        return table
 
 
 def _is_int(value) -> bool:
@@ -114,10 +132,15 @@ def sample_composition(
     gen = ctx.generator
     marks = _scratch_array("mask", slots, bool)[:slots]
     try:
-        missing = drawn
-        while missing:
-            marks[gen.integers(0, slots, missing)] = True
+        if drawn:
+            marks[gen.integers(0, slots, drawn)] = True
             missing = drawn - np.count_nonzero(marks)
+            while missing:
+                # a top-up counts only the distinct slots it newly marks
+                idx = gen.integers(0, slots, missing)
+                fresh = np.sort(idx[~marks[idx]])
+                marks[fresh] = True
+                missing -= np.count_nonzero(np.diff(fresh)) + (len(fresh) > 0)
         if drawn < parts - 1:
             np.logical_not(marks, out=marks)
         bars = np.flatnonzero(marks)
@@ -177,6 +200,13 @@ class SplitSampler:
     Draws use the drawing thread's scratch, which a build grows and which is
     held until the thread ends: threads may draw at once, though
     ``restarts`` is exact only when one thread draws.
+
+    The head table holds rows 1..c of s(k, a), whole when the budget
+    reaches C(c,2) and otherwise capped at the budget.  Those rows do not
+    depend on c, so live samplers share one table per cap, which a build
+    grows to its c rows or, with none live, builds; ``table`` may hold more
+    rows than the head reads.  The trade-off: a shared table keeps the rows
+    of its tallest head until every sampler that shares it is gone.
     """
 
     def __init__(self, n: int, m: int, head_size: int | None = None):
@@ -208,7 +238,7 @@ class SplitSampler:
                 f"SplitSampler(n={n}, m={m}) needs tail compositions of up to "
                 f"{slots} slots, above {MAX_COMPOSITION_SLOTS}"
             )
-        self.table = build_table(c, m_cap=min(mw, max_inversions(c)))
+        self.table = _head_table(c, None if mw >= max_inversions(c) else mw)
         a_max = min(max_inversions(c), mw)
         self._bases, self._blocks, self._total = self._weight_blocks(
             a_max, mw, self._tail_parts

@@ -272,3 +272,33 @@ def test_build_refuses_oversize_table_before_allocating(monkeypatch):
     monkeypatch.setattr(counting, "accumulate", None)
     with pytest.raises(ValueError, match="max_n=12, m_cap=20"):
         build_table(12, m_cap=20)
+
+
+@pytest.mark.parametrize("m_cap", [None, 0, 20, 45])
+def test_grown_table_equals_a_fresh_build(m_cap):
+    """Growing one table over a sequence of sizes (repeats and shrinking
+    requests included) gives, after each step, the rows of a fresh
+    ``build_table``; the mirrored entries are shared as in a built table."""
+    table = build_table(3, m_cap=m_cap)
+    for max_n in [5, 5, 9, 4, 14, 15, 22]:
+        table.grow(max_n)
+        expected = max(max_n, table.max_n)
+        assert table.max_n == expected
+        assert table._rows == build_table(expected, m_cap=m_cap)._rows
+    for n in range(1, table.max_n + 1):
+        row, top = table._rows[n], max_inversions(n)
+        for m in range(top // 2 + 1, len(row)):
+            assert row[m] is row[top - m]
+
+
+def test_grow_refuses_oversize_before_allocating(monkeypatch):
+    """A grow past ``MAX_TABLE_CELLS`` raises before the first new row is
+    filled and leaves the table as it was."""
+    table = build_table(8, m_cap=20)
+    rows = list(table._rows)
+    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(12, 20) - 1)
+    monkeypatch.setattr(counting, "accumulate", None)
+    with pytest.raises(ValueError, match="max_n=12, m_cap=20"):
+        table.grow(12)
+    assert table.max_n == 8 and table._rows == rows
+    table.grow(8)  # already held: nothing to fill

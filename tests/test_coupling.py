@@ -408,3 +408,20 @@ def test_reads_past_the_table_raise_value_error():
             chain_step(ChainState(x, sum(x)), BetaTable(small), ctx)
     with pytest.raises(ValueError, match="outside table range"):
         run_chain(12, 5, ctx)
+
+
+def test_beta_table_reads_levels_the_table_gains():
+    """A BetaTable over a table that grows after it was built reads the new
+    levels: a step at the new top level walks the stops, and takes the
+    step, of a BetaTable over a fresh build."""
+    table = build_table(6)
+    betas = BetaTable(table)
+    run_chain(6, 10, SamplerContext(table, 1), betas=betas)
+    table.grow(9)
+    x = (0, 1, 2, 0, 3, 1, 4, 2, 5)
+    fresh = BetaTable(build_table(9))
+    assert list(step_stops(x, sum(x), betas)) == list(step_stops(x, sum(x), fresh))
+    state = ChainState(x, sum(x))
+    assert chain_step(state, betas, SamplerContext(table, 2)) == chain_step(
+        state, fresh, SamplerContext(table, 2)
+    )

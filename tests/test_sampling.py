@@ -1,10 +1,12 @@
 import bisect
+import gc
 import hashlib
 import itertools
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from invperm.counting import build_table, max_inversions
+from invperm import counting
+from invperm.counting import build_table, max_inversions, table_cells
 from invperm.coupling import enumerate_inversion_sequences
 from invperm.permutations import decomposition_points
 from invperm import sampling
@@ -361,6 +364,17 @@ def test_composition_reused_mask_draws_nothing_when_nothing_is_missing():
         assert sample_composition(parts, total, nothing).sum() == total
         assert len(sampling._scratch.mask) >= 8
         assert not sampling._scratch.mask.any()
+
+
+def test_composition_top_up_counts_each_new_slot_once():
+    """A top-up round counts only the distinct slots it newly marks: a
+    repeat, or a slot marked in an earlier round, adds nothing, so each
+    round asks for exactly the bars still missing."""
+    script = _ScriptedGenerator([(3, 3, 3, 3), (3, 7, 7), (7, 9), (12,)])
+    out = sample_composition(5, 10, SamplerContext(None, 0, _gen=script))
+    assert script.calls == 4
+    assert out.tolist() == [3, 3, 1, 2, 1]  # bars at 3, 7, 9 and 12 of 14 slots
+    assert not sampling._scratch.mask.any()
 
 
 def test_composition_checks_size_before_allocating(monkeypatch):
@@ -712,10 +726,11 @@ def test_split_sampler_takes_numpy_integers_as_ints():
 
 def test_split_sampler_checks_tail_slots_before_building(monkeypatch):
     """The reused tail mask is allocated at build, so a budget whose tail
-    needs more than ``MAX_COMPOSITION_SLOTS`` slots is refused first."""
+    needs more than ``MAX_COMPOSITION_SLOTS`` slots is refused before the
+    head table is taken, grown or built."""
     monkeypatch.setattr(sampling, "MAX_COMPOSITION_SLOTS", 200)
     SplitSampler(60, 150, head_size=20)  # 150 + 40 - 1 slots
-    monkeypatch.setattr(sampling, "build_table", None)
+    monkeypatch.setattr(sampling, "_head_table", None)
     with pytest.raises(ValueError, match="210 slots"):
         SplitSampler(60, 171, head_size=20)
 
@@ -811,3 +826,103 @@ def test_split_sampler_large_n_invariants():
 def test_default_head_size_bounds():
     assert 16 <= default_head_size(100_000, 764_911) < 100
     assert default_head_size(10, 3) == 9  # clamped to n-1
+
+
+def test_live_split_samplers_share_one_head_table(monkeypatch):
+    """Two live samplers at different budgets, so different head sizes,
+    hold one whole-row head table, at least as tall as the taller head;
+    their draws are those of samplers that each build their own."""
+    n = 100_000
+    low, high = SplitSampler(n, 704_118), SplitSampler(n, 825_704)
+    assert low.head_size < high.head_size
+    assert low.table is high.table
+    assert low.table.m_cap is None and low.table.max_n >= high.head_size
+    monkeypatch.setattr(sampling, "_head_table", build_table)
+    for shared in (low, high):
+        own = SplitSampler(n, shared.m)
+        assert own.table is not shared.table
+        for t in range(2):
+            assert shared.sample(ctx(40, t)).tolist() == own.sample(ctx(40, t)).tolist()
+
+
+@pytest.mark.parametrize("m", [10**6, 5])
+def test_shared_head_table_rows_equal_a_fresh_build(m):
+    """Samplers built in turn at head sizes that rise, repeat and fall share
+    one head table, whole-row (m reaches every C(c,2)) or capped at m (m is
+    below every C(c,2)); after each build its rows are a fresh build's."""
+    live = []
+    for c in [6, 11, 11, 4, 17, 9, 24]:
+        live.append(SplitSampler(3_000, m, head_size=c))
+        table = live[0].table
+        assert live[-1].table is table
+        assert table.m_cap == (None if m == 10**6 else m)
+        assert table.max_n >= max(s.head_size for s in live)
+        assert table._rows == build_table(table.max_n, m_cap=table.m_cap)._rows
+
+
+def test_head_table_is_gone_with_its_last_sampler():
+    """The registry holds head tables weakly: a table lives while any
+    sampler holds it, and the next sampler on its key builds afresh."""
+    first = SplitSampler(2_000, 1_234, head_size=60)  # capped at 1234
+    second = SplitSampler(2_000, 1_234, head_size=80)
+    table = weakref.ref(first.table)
+    assert second.table is table() and sampling._head_tables[1_234] is table()
+    del first
+    gc.collect()
+    assert table() is second.table and table().max_n == 80
+    del second
+    gc.collect()
+    assert table() is None and 1_234 not in sampling._head_tables
+    assert SplitSampler(2_000, 1_234, head_size=60).table.max_n == 60
+
+
+def test_refused_head_grow_leaves_the_shared_table(monkeypatch):
+    """A sampler whose head would grow the shared table past
+    ``MAX_TABLE_CELLS`` is refused before any row is filled, and the
+    table keeps its rows for the samplers that hold it."""
+    held = SplitSampler(2_000, 777, head_size=50)  # capped at 777
+    rows = list(held.table._rows)
+    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(70, 777) - 1)
+    monkeypatch.setattr(counting, "accumulate", None)
+    with pytest.raises(ValueError, match="max_n=70, m_cap=777"):
+        SplitSampler(2_000, 777, head_size=70)
+    assert held.table.max_n == 50 and held.table._rows == rows
+    assert sampling._head_tables[777] is held.table
+
+
+def test_samplers_built_in_threads_at_once_share_equal_rows_and_draws(monkeypatch):
+    """Threads that build samplers on one head-table key at once, at
+    different head sizes, and draw from them while others still grow the
+    table, get one table with a fresh build's rows, and the draws of
+    samplers that each build their own."""
+    n, m, heads = 3_000, 2_345, [70, 80, 90, 100]  # capped: 2345 < C(70,2)
+    with monkeypatch.context() as own:
+        own.setattr(sampling, "_head_table", build_table)
+        expected = {
+            c: [SplitSampler(n, m, head_size=c).sample(ctx(41, t)).tolist() for t in range(6)]
+            for c in heads
+        }
+    samplers, got = {}, {}
+    start = threading.Barrier(len(heads))
+
+    def build(c):
+        start.wait()
+        samplers[c] = SplitSampler(n, m, head_size=c)
+        got[c] = [samplers[c].sample(ctx(41, t)).tolist() for t in range(6)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside builds and grows
+    try:
+        threads = [threading.Thread(target=build, args=(c,)) for c in heads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    table = samplers[heads[0]].table
+    assert all(s.table is table for s in samplers.values())
+    assert table.max_n == max(heads)
+    assert table._rows == build_table(max(heads), m_cap=m)._rows
+    assert got == expected
