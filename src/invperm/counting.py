@@ -41,9 +41,10 @@ class InversionTable:
 
     Row n' has entries for m = 0..C(n',2), or up to ``m_cap`` when the
     table was built column-capped (large n' only needs small budgets).
-    Row n' does not depend on max_n, so ``grow`` appends rows to a table
-    in place and leaves the stored ones, and their readers, untouched.
-    Reads may run alongside a grow; two grows of one table may not.
+    Row n' does not depend on max_n, so ``_grow_table`` appends rows to a
+    table in place and leaves the stored ones, and their readers, untouched
+    (``sampling`` grows the head tables its samplers share).  Reads may run
+    alongside a grow; two grows of one table may not.
     """
 
     def __init__(self, rows: list[list[int]], m_cap: int | None = None):
@@ -124,43 +125,6 @@ class InversionTable:
         """True when s(n', m') is stored for all n' <= n, m' <= m."""
         return n <= self.max_n and (self.m_cap is None or m <= self.m_cap)
 
-    def grow(self, max_n: int) -> None:
-        """Append rows by the one-row recurrence until the table holds max_n.
-
-        s(n, m) = sum of s(n-1, m-i) over i = 0..n-1, evaluated with a
-        sliding window, s(n, m) = s(n, m-1) + s(n-1, m) - s(n-1, m-n): a row
-        is the running sum of s(n-1, m) - s(n-1, m-n), so each cell costs
-        O(1) big-integer additions, done in ``itertools`` rather than a
-        Python loop.  A column-capped table truncates every row at its cap
-        (the recurrence never looks right of the cap).
-
-        Rows are symmetric, s(n, m) = s(n, C(n,2) - m), by the reflection
-        x_i -> (i-1) - x_i.  So a row whose width passes C(n,2)/2 is summed
-        only up to floor(C(n,2)/2), and each entry m above that is the very
-        int object stored at C(n,2) - m: such a row costs half the additions
-        and about half the memory, and readers see the same values, length
-        and interface.  A grown size of more than ``MAX_TABLE_CELLS`` cells
-        is refused before anything is allocated, leaving the table as it
-        was; a max_n the table already holds changes nothing.
-        """
-        if max_n <= self.max_n:
-            return
-        cells = table_cells(max_n, self.m_cap)
-        if cells > MAX_TABLE_CELLS:
-            raise ValueError(
-                f"table max_n={max_n}, m_cap={self.m_cap} has {cells} cells, "
-                f"above {MAX_TABLE_CELLS}"
-            )
-        rows = self._rows
-        for n in range(self.max_n + 1, max_n + 1):
-            prev = rows[n - 1]
-            width = _row_width(n, self.m_cap)
-            diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
-            row = list(accumulate(islice(diffs, min(width, max_inversions(n) // 2 + 1))))
-            row += _mirror(row, n, width)
-            rows.append(row)
-            self.max_n = n
-
 
 def table_cells(max_n: int, m_cap: int | None = None) -> int:
     """Cells of ``build_table(max_n, m_cap)``: sum of min(C(n,2), m_cap) + 1.
@@ -177,14 +141,52 @@ def table_cells(max_n: int, m_cap: int | None = None) -> int:
 
 def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     """The count table for all n <= max_n, column-capped at ``m_cap`` if
-    given: ``InversionTable.grow`` applied to the table of row 0 alone."""
+    given: ``_grow_table`` applied to the table of row 0 alone."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if m_cap is not None and m_cap < 0:
         raise ValueError("m_cap must be >= 0")
     table = InversionTable([[1]], m_cap=m_cap)
-    table.grow(max_n)
+    _grow_table(table, max_n)
     return table
+
+
+def _grow_table(table: InversionTable, max_n: int) -> None:
+    """Append rows by the one-row recurrence until ``table`` holds max_n.
+
+    s(n, m) = sum of s(n-1, m-i) over i = 0..n-1, evaluated with a sliding
+    window, s(n, m) = s(n, m-1) + s(n-1, m) - s(n-1, m-n): a row is the
+    running sum of s(n-1, m) - s(n-1, m-n), so each cell costs O(1)
+    big-integer additions, done in ``itertools`` rather than a Python
+    loop.  A column-capped table truncates every row at its cap (the
+    recurrence never looks right of the cap).
+
+    Rows are symmetric, s(n, m) = s(n, C(n,2) - m), by the reflection
+    x_i -> (i-1) - x_i.  So a row whose width passes C(n,2)/2 is summed
+    only up to floor(C(n,2)/2), and each entry m above that is the very
+    int object stored at C(n,2) - m: such a row costs half the additions
+    and about half the memory, and readers see the same values, length
+    and interface.  A grown size of more than ``MAX_TABLE_CELLS`` cells is
+    refused before anything is allocated, leaving the table as it was; a
+    max_n the table already holds changes nothing.
+    """
+    if max_n <= table.max_n:
+        return
+    cells = table_cells(max_n, table.m_cap)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"table max_n={max_n}, m_cap={table.m_cap} has {cells} cells, "
+            f"above {MAX_TABLE_CELLS}"
+        )
+    rows = table._rows
+    for n in range(table.max_n + 1, max_n + 1):
+        prev = rows[n - 1]
+        width = _row_width(n, table.m_cap)
+        diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
+        row = list(accumulate(islice(diffs, min(width, max_inversions(n) // 2 + 1))))
+        row += _mirror(row, n, width)
+        rows.append(row)
+        table.max_n = n
 
 
 def _mirror(row: list[int], n: int, width: int) -> list[int]:

@@ -72,9 +72,9 @@ class BetaTable:
 
     Holds one prefix-summed count row per level, built whole on first use
     and as wide as a beta of that level or the next reads.  It does not
-    modify the table, which may gain rows (``InversionTable.grow``) while it
-    lives; their levels are then read like the others.  Safe for concurrent
-    readers with per-thread instances.
+    modify the table, which may gain rows while it lives (as the head table
+    that live ``SplitSampler``s share does); their levels are then read
+    like the others.  Safe for concurrent readers with per-thread instances.
     """
 
     def __init__(self, table: InversionTable):

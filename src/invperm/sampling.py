@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import InversionTable, build_table, max_inversions
+from .counting import InversionTable, _grow_table, build_table, max_inversions
 from .rng import SamplerContext
 
 # slots of the boolean mask ``sample_composition`` marks (one byte each)
@@ -66,7 +66,7 @@ def _head_table(rows: int, m_cap: int | None) -> InversionTable:
         if table is None:
             table = _head_tables[m_cap] = build_table(rows, m_cap)
         else:
-            table.grow(rows)
+            _grow_table(table, rows)
         return table
 
 
@@ -132,15 +132,10 @@ def sample_composition(
     gen = ctx.generator
     marks = _scratch_array("mask", slots, bool)[:slots]
     try:
-        if drawn:
-            marks[gen.integers(0, slots, drawn)] = True
+        missing = drawn
+        while missing:
+            marks[gen.integers(0, slots, missing)] = True
             missing = drawn - np.count_nonzero(marks)
-            while missing:
-                # a top-up counts only the distinct slots it newly marks
-                idx = gen.integers(0, slots, missing)
-                fresh = np.sort(idx[~marks[idx]])
-                marks[fresh] = True
-                missing -= np.count_nonzero(np.diff(fresh)) + (len(fresh) > 0)
         if drawn < parts - 1:
             np.logical_not(marks, out=marks)
         bars = np.flatnonzero(marks)

@@ -281,7 +281,7 @@ def test_grown_table_equals_a_fresh_build(m_cap):
     ``build_table``; the mirrored entries are shared as in a built table."""
     table = build_table(3, m_cap=m_cap)
     for max_n in [5, 5, 9, 4, 14, 15, 22]:
-        table.grow(max_n)
+        counting._grow_table(table, max_n)
         expected = max(max_n, table.max_n)
         assert table.max_n == expected
         assert table._rows == build_table(expected, m_cap=m_cap)._rows
@@ -299,6 +299,6 @@ def test_grow_refuses_oversize_before_allocating(monkeypatch):
     monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(12, 20) - 1)
     monkeypatch.setattr(counting, "accumulate", None)
     with pytest.raises(ValueError, match="max_n=12, m_cap=20"):
-        table.grow(12)
+        counting._grow_table(table, 12)
     assert table.max_n == 8 and table._rows == rows
-    table.grow(8)  # already held: nothing to fill
+    counting._grow_table(table, 8)  # already held: nothing to fill

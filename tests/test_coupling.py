@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
-from invperm.counting import build_table, max_inversions
+from invperm.counting import _grow_table, build_table, max_inversions
 from invperm.coupling import (
     BetaTable,
     ChainState,
@@ -417,7 +417,7 @@ def test_beta_table_reads_levels_the_table_gains():
     table = build_table(6)
     betas = BetaTable(table)
     run_chain(6, 10, SamplerContext(table, 1), betas=betas)
-    table.grow(9)
+    _grow_table(table, 9)
     x = (0, 1, 2, 0, 3, 1, 4, 2, 5)
     fresh = BetaTable(build_table(9))
     assert list(step_stops(x, sum(x), betas)) == list(step_stops(x, sum(x), fresh))

@@ -366,17 +366,6 @@ def test_composition_reused_mask_draws_nothing_when_nothing_is_missing():
         assert not sampling._scratch.mask.any()
 
 
-def test_composition_top_up_counts_each_new_slot_once():
-    """A top-up round counts only the distinct slots it newly marks: a
-    repeat, or a slot marked in an earlier round, adds nothing, so each
-    round asks for exactly the bars still missing."""
-    script = _ScriptedGenerator([(3, 3, 3, 3), (3, 7, 7), (7, 9), (12,)])
-    out = sample_composition(5, 10, SamplerContext(None, 0, _gen=script))
-    assert script.calls == 4
-    assert out.tolist() == [3, 3, 1, 2, 1]  # bars at 3, 7, 9 and 12 of 14 slots
-    assert not sampling._scratch.mask.any()
-
-
 def test_composition_checks_size_before_allocating(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_COMPOSITION_SLOTS", 10)
     assert sample_composition(5, 6, ctx(11)).sum() == 6  # 10 slots
@@ -591,11 +580,12 @@ def _traced_growth(build):
     return tracemalloc.get_traced_memory()[0] - before, sampler
 
 
-def test_a_second_live_split_sampler_holds_no_draw_scratch():
+def test_a_second_live_split_sampler_holds_no_draw_scratch(monkeypatch):
     """Drawn after a first sampler, a second live SplitSampler(10^5, m)
     grows traced memory by its tables alone: the bar mask and parts array
     (about 1.7 MB) are the thread's, grown once by the first sampler.  A
-    fresh thread starts with no scratch."""
+    fresh thread starts with no scratch.  The second builds its own head
+    table, as the first did, so the two differ by the scratch alone."""
     n, m = 100_000, 764_911
     SplitSampler(2_000, 9_000).sample(SamplerContext(None, 38))  # warm numpy up
     growth = {}
@@ -604,6 +594,7 @@ def test_a_second_live_split_sampler_holds_no_draw_scratch():
         tracemalloc.start()
         try:
             growth["first"], growth["sampler"] = _traced_growth(lambda: SplitSampler(n, m))
+            monkeypatch.setattr(sampling, "_head_table", build_table)
             growth["second"], _ = _traced_growth(lambda: SplitSampler(n, m))
         finally:
             tracemalloc.stop()
