@@ -18,7 +18,6 @@ from .coupling import (
     BetaTable,
     ChainState,
     chain_step,
-    enumerate_inversion_sequences,
     materialize_rho,
     rho_entry,
     run_chain,
@@ -44,17 +43,18 @@ from .permutations import (
     blocks,
     blocks_from_inversion_sequence,
     decomposition_points,
+    enumerate_inversion_sequences,
     inversion_count,
     inversion_sequence,
     is_indecomposable,
     permutation_from_inversion_sequence,
     permutation_graph_edges,
     psi,
+    reflect_sequence,
 )
 from .rng import SamplerContext
 from .sampling import (
     SplitSampler,
-    reflect_sequence,
     sample_composition,
     sample_inversion_sequence,
 )

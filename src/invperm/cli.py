@@ -93,9 +93,9 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--m must lie in 0..{top}")
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    small = args.n * (min(args.m, top - args.m) + 1) <= 2_000_000
-    if small:
-        table = counting.build_table(args.n, m_cap=min(args.m, top - args.m))
+    work = min(args.m, top - args.m)
+    if counting.table_cells(args.n, work) <= 2_000_000:
+        table = counting.build_table(args.n, m_cap=work)
         for i in range(args.count):
             ctx = SamplerContext(table, args.seed, (i,))
             x = sample_inversion_sequence(args.n, args.m, ctx)
@@ -165,7 +165,7 @@ def _cmd_census(args) -> int:
         version = raw.pop("schema_version", 1)
         if version != 1:
             raise ValueError(f"unsupported config schema version {version}")
-    elif args.mode is None or (args.n is None and args.mode != "monotonicity"):
+    elif args.mode is None or args.n is None:
         raise ValueError("need --config or (--n and --mode)")
     else:
         # each census flag's dest is the ExperimentConfig field it sets
@@ -245,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument(
         "--out", dest="out_dir", metavar="OUT", help="directory for JSON/CSV reports"
     )

@@ -57,8 +57,8 @@ from itertools import accumulate, chain, islice, repeat
 from typing import Iterator, Sequence
 
 from .counting import InversionTable, max_inversions
+from .permutations import enumerate_inversion_sequences, reflect_sequence
 from .rng import SamplerContext
-from .sampling import reflect_sequence
 
 _MATERIALIZE_LIMIT = 9
 
@@ -150,27 +150,6 @@ def rho_entry(
             return (1 - Fraction(*betas.beta(n, m, j + 1))) * sub
         return Fraction(0)
     return Fraction(0)
-
-
-def enumerate_inversion_sequences(n: int, m: int) -> list[tuple[int, ...]]:
-    """All length-n inversion sequences with sum m, in reverse-lex order.
-
-    Reverse-lex: x before y iff x_i < y_i at the last differing index.
-    """
-    out: list[tuple[int, ...]] = []
-
-    def rec(level: int, budget: int, suffix: tuple[int, ...]) -> None:
-        if level == 0:
-            if budget == 0:
-                out.append(suffix)
-            return
-        if budget > max_inversions(level) or budget < 0:
-            return
-        for v in range(min(level - 1, budget) + 1):
-            rec(level - 1, budget - v, (v,) + suffix)
-
-    rec(n, m, ())
-    return out
 
 
 @dataclass(frozen=True)

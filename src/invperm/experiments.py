@@ -30,7 +30,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import permutations as iter_permutations
 from math import factorial
 
 import numpy as np
@@ -39,7 +38,7 @@ from .counting import max_inversions
 from .limits import REGIME_THRESHOLD, threshold_params
 from .limits import alpha_for_mu as _alpha_for_mu
 from .limits import marked_points as _marked_points
-from .permutations import decomposition_points, inversion_sequence
+from .permutations import decomposition_points, enumerate_inversion_sequences
 from .rng import SamplerContext
 from .sampling import SplitSampler, sample_composition
 
@@ -61,7 +60,7 @@ TOLERANCES = {
 class ExperimentConfig:
     """One census run: which law, at what size, how many trials."""
 
-    n: int | None = None  # required, except in monotonicity mode (n_max)
+    n: int  # in monotonicity mode, the largest size checked
     mode: str  # a key of RUNNERS
     trials: int = 1000
     seed: int = 0
@@ -69,11 +68,6 @@ class ExperimentConfig:
     m_list: list[int] | None = None
     parallelism: int = 1
     out_dir: str | None = None
-    n_max: int = 8  # monotonicity mode only
-
-    def __post_init__(self) -> None:
-        if self.n is None and self.mode == "monotonicity":
-            self.n = self.n_max  # the exhaustive check's report states n = n_max
 
     def resolved_points(self) -> list[tuple[float | None, int]]:
         """(mu, m) pairs this config covers; mu as a float however spelt,
@@ -87,7 +81,7 @@ class ExperimentConfig:
         return points
 
     def validate(self) -> None:
-        for name in ("n", "trials", "seed", "parallelism", "n_max"):
+        for name in ("n", "trials", "seed", "parallelism"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer; got {value!r}")
@@ -116,12 +110,13 @@ class ExperimentConfig:
         if not self.resolved_points():
             raise ValueError("config needs mu_list or m_list")
         if self.mode == "blocks":
+            bound = self.n * _alpha_for_mu(self.n, -2.0)[0]
             for mu, m in self.resolved_points():
-                implied = mu if mu is not None else self._implied_mu(m)
-                if implied > -2.0:
+                if (m > bound) if mu is None else (mu > -2.0):
                     raise ValueError(
-                        "blocks mode needs mu <= -2 (the Exp/Gumbel laws hold "
-                        f"when n*h -> infinity); got mu={implied:.3f}"
+                        f"blocks mode needs mu <= -2, that is m <= {bound:.1f} at "
+                        f"n={self.n} (the Exp/Gumbel laws hold when n*h -> infinity); "
+                        f"got m={m}" + ("" if mu is None else f" from mu={mu}")
                     )
         if self.mode == "marked":
             points = self.resolved_points()
@@ -136,10 +131,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"marked mode takes one point (one --mu or --m); got {len(points)}"
                 )
-
-    def _implied_mu(self, m: int) -> float:
-        base = _alpha_for_mu(self.n, 0.0)[0]
-        return (m / self.n - base) * (math.pi**2 / 6.0)
 
 
 def _is_int(value) -> bool:
@@ -499,10 +490,9 @@ def indecomposable_counts(n_max: int) -> list[int]:
 
 @dataclass(kw_only=True)
 class MonotonicityReport(Report):
-    """Exhaustive, so ``n`` is ``n_max``, ``trials`` counts the
-    permutations enumerated and ``seed`` is 0: nothing is drawn."""
+    """Exhaustive, so ``n`` is the largest size checked, ``trials`` counts
+    the permutations enumerated and ``seed`` is 0: nothing is drawn."""
 
-    n_max: int
     p_indecomposable: dict[int, list[Fraction]]
     nondecreasing_ok: bool
     domination_ok: bool
@@ -516,11 +506,11 @@ class MonotonicityReport(Report):
 def run_monotonicity_check(n_max: int) -> MonotonicityReport:
     """Exhaustive check that more inversions never hurt connectivity.
 
-    For every n <= n_max bins all n! permutations by inversion count,
-    computes p(n, m) = P(indecomposable) exactly, and verifies that it is
-    nondecreasing in m, that the block-count distributions are
-    stochastically ordered, and that indecomposable totals match the
-    classical recurrence for f(n).
+    For every n <= n_max enumerates the inversion sequences of each sum m
+    (all n! permutations), computes p(n, m) = P(indecomposable) exactly,
+    and verifies that it is nondecreasing in m, that the block-count
+    distributions are stochastically ordered, and that indecomposable
+    totals match the classical recurrence for f(n).
     """
     if not 2 <= n_max <= 9:
         raise ValueError(f"the exhaustive check needs 2 <= n_max <= 9; got {n_max}")
@@ -531,38 +521,28 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
     dominated = True
     totals_ok = True
     for n in range(2, n_max + 1):
-        top = max_inversions(n)
-        s_nm = [0] * (top + 1)
-        block_hist = [dict() for _ in range(top + 1)]
-        for word in iter_permutations(range(1, n + 1)):
-            x = inversion_sequence(word)
-            m = sum(x)
-            c = len(decomposition_points(x)) + 1
-            s_nm[m] += 1
-            block_hist[m][c] = block_hist[m].get(c, 0) + 1
-        p = [
-            Fraction(block_hist[m].get(1, 0), s_nm[m]) for m in range(top + 1)
+        # per m, the permutations with m inversions counted by block count
+        hists = [
+            Counter(len(decomposition_points(x)) + 1 for x in enumerate_inversion_sequences(n, m))
+            for m in range(max_inversions(n) + 1)
         ]
+        sizes = [h.total() for h in hists]
+        p = [Fraction(h[1], s) for h, s in zip(hists, sizes)]
         p_table[n] = p
-        nondec &= all(p[m] <= p[m + 1] for m in range(top))
-        for m in range(top):
-            for j in range(1, n + 1):
-                lhs = Fraction(
-                    sum(v for c, v in block_hist[m + 1].items() if c >= j),
-                    s_nm[m + 1],
-                )
-                rhs = Fraction(
-                    sum(v for c, v in block_hist[m].items() if c >= j), s_nm[m]
-                )
-                if lhs > rhs:
-                    dominated = False
-        total_indecomposable = sum(h.get(1, 0) for h in block_hist)
-        totals_ok &= total_indecomposable == expected_totals[n - 1]
+        nondec &= all(a <= b for a, b in zip(p, p[1:]))
+        # P(c >= j) at m + 1 is at most P(c >= j) at m, for every j: with
+        # tail counts b at m and a at m + 1, a * s(n, m) <= b * s(n, m + 1)
+        tails = [[sum(v for c, v in h.items() if c >= j) for j in range(1, n + 1)] for h in hists]
+        dominated &= all(
+            a * s <= b * t
+            for s, t, low, high in zip(sizes, sizes[1:], tails, tails[1:])
+            for b, a in zip(low, high)
+        )
+        totals_ok &= sum(h[1] for h in hists) == expected_totals[n - 1]
     return MonotonicityReport(
         n=n_max,
         trials=sum(factorial(n) for n in range(2, n_max + 1)),
         seed=0,
-        n_max=n_max,
         p_indecomposable=p_table,
         nondecreasing_ok=nondec,
         domination_ok=dominated,
@@ -573,7 +553,7 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
 
 def _monotonicity_census(cfg: ExperimentConfig) -> MonotonicityReport:
     _start(cfg, "monotonicity")
-    report = run_monotonicity_check(cfg.n_max)
+    report = run_monotonicity_check(cfg.n)
     _maybe_write(cfg, report)
     return report
 

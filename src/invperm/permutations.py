@@ -2,10 +2,11 @@
 
 A permutation is a tuple of the integers 1..n in one-line notation.  Its
 inversion sequence x has x_i = #{j < i : sigma(j) > sigma(i)}, so
-0 <= x_i <= i-1, and the map is a bijection.  Decomposition points of the
-inversion sequence cut the permutation into indecomposable blocks, which
-are exactly the connected components of the graph whose edges are the
-inversion pairs.
+0 <= x_i <= i-1, and the map is a bijection.  The sequences of sum m are
+enumerated here, and reflected to sum C(n,2) - m.  Decomposition points of
+the inversion sequence cut the permutation into indecomposable blocks,
+which are exactly the connected components of the graph whose edges are
+the inversion pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .counting import max_inversions
 
 
 def validate_permutation(word: Sequence[int]) -> None:
@@ -72,6 +75,32 @@ def permutation_from_inversion_sequence(x: Sequence[int]) -> tuple[int, ...]:
     free = list(range(1, n + 1))
     word = [free.pop(t - v) for t, v in zip(range(n - 1, -1, -1), reversed(x))]
     return tuple(reversed(word))
+
+
+def reflect_sequence(x: Sequence[int]) -> list[int]:
+    """The involution x_i -> (i-1) - x_i; maps sum m to C(n,2) - m."""
+    return [i - v for i, v in enumerate(x)]
+
+
+def enumerate_inversion_sequences(n: int, m: int) -> list[tuple[int, ...]]:
+    """All length-n inversion sequences with sum m, in reverse-lex order.
+
+    Reverse-lex: x before y iff x_i < y_i at the last differing index.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def rec(level: int, budget: int, suffix: tuple[int, ...]) -> None:
+        if level == 0:
+            if budget == 0:
+                out.append(suffix)
+            return
+        if budget > max_inversions(level) or budget < 0:
+            return
+        for v in range(min(level - 1, budget) + 1):
+            rec(level - 1, budget - v, (v,) + suffix)
+
+    rec(n, m, ())
+    return out
 
 
 def inversion_count(perm: Sequence[int]) -> int:

@@ -27,11 +27,11 @@ import math
 import numbers
 import threading
 import weakref
-from typing import Sequence
 
 import numpy as np
 
 from .counting import InversionTable, _grow_table, build_table, max_inversions
+from .permutations import reflect_sequence
 from .rng import SamplerContext
 
 # slots of the boolean mask ``sample_composition`` marks (one byte each)
@@ -72,11 +72,6 @@ def _head_table(rows: int, m_cap: int | None) -> InversionTable:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def reflect_sequence(x: Sequence[int]) -> list[int]:
-    """The involution x_i -> (i-1) - x_i; maps sum m to C(n,2) - m."""
-    return [i - v for i, v in enumerate(x)]
 
 
 def sample_inversion_sequence(n: int, m: int, ctx: SamplerContext) -> list[int]:

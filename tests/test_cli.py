@@ -132,6 +132,31 @@ def test_sample_large_n_path(capsys):
     assert len(values) == 20000 and sum(values) == 90000
 
 
+def test_sample_engine_follows_the_table_cell_count(capsys, monkeypatch):
+    """At n = 2000, m = 1000 the capped table holds 1 972 181 cells, under
+    the 2 000 000 limit (n * (m + 1) would be 2 002 000), so ``sample``
+    walks it: the output is the table walker's draw for the same seed and
+    stream."""
+    from invperm import counting
+    from invperm.rng import SamplerContext
+    from invperm.sampling import sample_inversion_sequence
+
+    assert counting.table_cells(2000, 1000) == 1_972_181
+    built = []
+    build = counting.build_table
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(counting, "build_table", recording_build)
+    code, out, _ = run_cli(capsys, "sample", "--n", "2000", "--m", "1000", "--seed", "6")
+    assert code == 0
+    [table] = built
+    x = sample_inversion_sequence(2000, 1000, SamplerContext(table, 6, (0,)))
+    assert out.strip() == ",".join(map(str, x))
+
+
 def test_chain_trace(capsys):
     code, out, _ = run_cli(
         capsys, "chain", "--n", "5", "--to", "4", "--seed", "2", "--trace"
@@ -330,7 +355,7 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
         "params --n 1000 --mu nan",
         "census --n 1000 --mode components --mu inf --trials 2",
         "table --max-n 5 --out no/such/dir/x",
-        "census --mode monotonicity --n 5 --n-max 1",
+        "census --mode monotonicity --n 1",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path, monkeypatch):
@@ -384,21 +409,21 @@ def test_census_config_with_head_size_exits_2(capsys, tmp_path):
 
 
 def test_census_monotonicity_mode(capsys, tmp_path):
-    code, out, _ = run_cli(
-        capsys, "census", "--mode", "monotonicity", "--n", "5", "--n-max", "5"
-    )
+    code, out, _ = run_cli(capsys, "census", "--mode", "monotonicity", "--n", "5")
     assert code == 0
     payload = json.loads(out)
     assert payload["nondecreasing_ok"] and payload["domination_ok"]
     assert payload["p_indecomposable"]["3"] == ["0", "0", "1", "1"]
+    assert payload["n"] == 5 and "n_max" not in payload
 
-    # the exhaustive check needs no --n; the report states n = n_max
-    code, out, _ = run_cli(capsys, "census", "--mode", "monotonicity", "--n-max", "5")
-    assert code == 0 and json.loads(out)["n"] == 5
+    # --n sets the size of the exhaustive check, and it is required
+    code, out, err = run_cli(capsys, "census", "--mode", "monotonicity")
+    assert code == 2 and out == ""
+    assert err == "invperm census: need --config or (--n and --mode)\n"
 
-    # nor does a config file
+    # so it is in a config file
     path = tmp_path / "mono.json"
-    path.write_text(json.dumps({"mode": "monotonicity", "n_max": 5}))
+    path.write_text(json.dumps({"mode": "monotonicity", "n": 5}))
     code, out, err = run_cli(capsys, "census", "--config", str(path))
     assert code == 0 and err == "" and json.loads(out)["n"] == 5
 
@@ -426,13 +451,13 @@ def test_runtime_imports_no_scipy():
         ("components --n 60 --m 100 --m 1700 --trials 40 --seed 3", ["components_n60_seed3"]),
         ("blocks --n 4000 --mu -2.5 --trials 25 --seed 1", ["blocks_n4000_seed1", ".csv"]),
         ("marked --n 20000 --mu -2 --trials 10 --seed 3", ["marked_n20000_seed3"]),
-        ("monotonicity --n 5 --n-max 4", ["monotonicity_n4_seed0"]),
+        ("monotonicity --n 4", ["monotonicity_n4_seed0"]),
     ],
 )
 def test_census_exit_code_and_report_files_in_every_mode(argv, files, capsys, tmp_path):
     """Exit 0 exactly when the report passed; --out writes the report (and
     the blocks CSV) under <mode>_n<n>_seed<seed>, n and seed as reported:
-    the exhaustive monotonicity check reports n = n_max and seed 0."""
+    the exhaustive monotonicity check reports seed 0."""
     from dataclasses import fields
 
     from invperm.cli import build_parser

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,26 @@ def test_component_census_determinism_and_parallel_merge():
     assert r1.to_json() == r3.to_json()
 
 
+def test_census_outputs_pinned():
+    """The deterministic JSON of a component, a block and a marked census,
+    joined with no separator: any change to the sampler, the statistics or
+    the report format changes the digest."""
+    runs = [
+        ("components", 10**4, 60, [-1.0, 0.0]),
+        ("blocks", 10**4, 60, [-3.0]),
+        ("marked", 10**5, 20, [0.0]),
+    ]
+    payload = "".join(
+        RUNNERS[mode](
+            ExperimentConfig(n=n, mode=mode, trials=trials, seed=5, mu_list=mus)
+        ).to_json()
+        for mode, n, trials, mus in runs
+    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "d6a41b41430b384bac8be00511e5b3f9715c96f741391e951a51ff7dbc249a61"
+    )
+
+
 def test_census_points_report_sampler_diagnostics():
     """Each point states its sampler's head size, restarts, build time and
     acceptance rate; parallelism 1 and 2 give the same head size, restarts
@@ -335,6 +356,19 @@ def test_block_census_guard_rejects_near_threshold():
     cfg = ExperimentConfig(n=5000, mode="blocks", trials=10, mu_list=[0.0])
     with pytest.raises(ValueError, match="mu <= -2"):
         cfg.validate()
+
+
+def test_block_census_guard_bounds_m_at_mu_minus_2():
+    """An m point is refused exactly above n * alpha(-2), the m of mu = -2
+    before rounding; the message states m and the bound."""
+    n = 5000
+    bound = n * alpha_for_mu(n, -2.0)[0]
+    ExperimentConfig(n=n, mode="blocks", m_list=[math.floor(bound)]).validate()
+    cfg = ExperimentConfig(n=n, mode="blocks", m_list=[math.floor(bound) + 1])
+    with pytest.raises(ValueError, match="mu <= -2") as err:
+        cfg.validate()
+    assert f"m <= {bound:.1f}" in str(err.value)
+    assert f"got m={math.floor(bound) + 1}" in str(err.value)
 
 
 def test_block_census_small_run():

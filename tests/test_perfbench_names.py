@@ -1,8 +1,9 @@
 """The benchmark in ``perfbench/`` wraps package functions by name.
 
 Its tracer and its per-call timer look each ``(owner, attribute)`` up in
-the owner's ``__dict__``; a rename in ``src/`` would otherwise surface only
-as a ``KeyError`` in a benchmark run.
+the owner's ``__dict__``, and its workloads call package functions with
+fixed signatures; a rename or a changed signature in ``src/`` would
+otherwise surface only as an error in a benchmark run.
 """
 
 import importlib
@@ -32,3 +33,15 @@ def test_traced_and_timed_names_exist(perfbench):
     for owner, attr in targets + pieces:
         assert attr in vars(owner), f"{owner.__name__}.{attr} is gone"
         assert callable(vars(owner)[attr])
+
+
+def test_every_workload_runs_one_round_and_passes_its_checks(perfbench, tmp_path):
+    """One set-up and one pass of tasks per workload, untraced and untimed
+    beyond what the tasks time themselves: a changed signature of a call the
+    benchmark makes fails here rather than in a benchmark run."""
+    workloads, tracing = perfbench["workloads"], perfbench["tracing"]
+    for name, workload in workloads.WORKLOADS.items():
+        run = workloads.Run(seed=0, seconds=0.0, tracer=None, workdir=tmp_path)
+        done = workload.tasks(run, workload.setup(), tracing.NULL)
+        assert done and all(ops > 0 for ops, _ in done), name
+        assert run.tally.attempted > 0 and run.tally.failed == 0, (name, run.tally.failures)

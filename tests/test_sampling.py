@@ -587,6 +587,8 @@ def test_a_second_live_split_sampler_holds_no_draw_scratch(monkeypatch):
     fresh thread starts with no scratch.  The second builds its own head
     table, as the first did, so the two differ by the scratch alone."""
     n, m = 100_000, 764_911
+    # a head table that a sampler alive elsewhere shares would shrink "first"
+    monkeypatch.setattr(sampling, "_head_tables", weakref.WeakValueDictionary())
     SplitSampler(2_000, 9_000).sample(SamplerContext(None, 38))  # warm numpy up
     growth = {}
 
