@@ -20,7 +20,9 @@ s = s(n,m), d_i = s(n-1,m+1-i) and D_k = d_0 + ... + d_{k-1},
 
     beta_k = [S (D_{k+1} - d_0) - s D_k] / (S d_k),
 
-with beta_k = 1 where d_k = 0 and beta_k = 0 for k > min(n-1, m+1).  Both
+with beta_k = 0 for k > min(n-1, m+1).  For a direct budget (2m < C(n,2))
+every d_k in between is positive: C(n,2) - 1 <= 2 C(n-1,2), as
+(n-2)(n-3) >= 0, puts m+1-k within 0..C(n-1,2).  Both
 D's are window sums of row n-1; every count here is read in O(1) from the
 prefix-summed rows n and n-1, each built whole on first use, so a beta is
 an integer pair (numerator, denominator) from a few big-integer products.
@@ -112,8 +114,6 @@ class BetaTable:
         if m + 2 >= len(below):
             raise ValueError(f"s({n},{m + 1}) not stored (column cap {self.table.m_cap})")
         d_i = below[m + 2 - i] - below[m + 1 - i]
-        if d_i == 0:
-            return 1, 1
         big, small = here[m + 2] - here[m + 1], here[m + 1] - here[m]
         num = big * (below[m + 1] - below[m + 1 - i]) - small * (below[m + 2] - below[m + 2 - i])
         den = big * d_i

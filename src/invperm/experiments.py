@@ -28,7 +28,7 @@ import numbers
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import factorial
 
@@ -104,6 +104,21 @@ class ExperimentConfig:
         if not 1 <= self.parallelism <= cpus:
             raise ValueError(f"parallelism must lie in 1..{cpus} (the CPU count)")
         if self.mode == "monotonicity":
+            if not 2 <= self.n <= 9:
+                raise ValueError(f"monotonicity mode needs 2 <= n <= 9; got n={self.n}")
+            # the exhaustive check draws nothing: a field it would ignore
+            # is refused, so the config states only what ran
+            ignored = [
+                f"{f.name}={getattr(self, f.name)!r}"
+                for f in fields(self)
+                if f.name in ("trials", "seed", "mu_list", "m_list", "parallelism")
+                and getattr(self, f.name) != f.default
+            ]
+            if ignored:
+                raise ValueError(
+                    "monotonicity mode checks every permutation and draws "
+                    f"nothing; drop {', '.join(ignored)}"
+                )
             return
         if self.n < 4:
             raise ValueError("censuses need n >= 4")

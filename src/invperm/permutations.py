@@ -131,6 +131,10 @@ def permutation_graph_edges(perm: Sequence[int]) -> list[tuple[int, int]]:
 # whatever the length, so a census trial at n = 10^5 does not grow the heap
 # by several arrays of n entries beside the sequence it decomposes
 _CHUNK = 1 << 13
+# offsets at which ``_cuts_among_zeros`` filters its candidates before it
+# hands them to the suffix-minimum pass: zeros that survive many offsets,
+# as in (0, ..., 0, n - 1), cost at most this many passes over them
+_ROUNDS = 16
 
 
 def decomposition_points(seq: Sequence[int]) -> list[int]:
@@ -138,14 +142,20 @@ def decomposition_points(seq: Sequence[int]) -> list[int]:
 
     A nonnegative sequence a is decomposable at j when a_{j+i} <= i-1 for
     every i in [len-j]; for an inversion sequence these are exactly the
-    block boundaries.  One suffix-minimum pass, from the end in chunks of
-    ``_CHUNK`` entries: j qualifies iff j <= min_{s > j} (s - 1 - a_s).
+    block boundaries.  Above ``_CHUNK`` entries the few zeros that can be
+    points are filtered (``_cuts_among_zeros``); below it, or when the
+    filter gives up, one suffix-minimum pass decides, from the end in chunks
+    of ``_CHUNK`` entries: j qualifies iff j <= min_{s > j} (s - 1 - a_s).
 
     >>> decomposition_points([0, 0, 2, 0, 1, 2, 0, 1, 4])
     [3]
     """
     a = np.asarray(seq, dtype=np.int64)
     n = len(a)
+    if n > _CHUNK:
+        cuts = _cuts_among_zeros(a)
+        if cuts is not None:
+            return cuts
     # 0-based slack[k] = k - a[k] is s - 1 - a_s for s = k + 1; its suffix
     # minima are taken chunk by chunk from the end, carrying the minimum
     # past the chunk (n is above every slack)
@@ -159,6 +169,36 @@ def decomposition_points(seq: Sequence[int]) -> list[int]:
         low = slack[0]
         found.append(index[index <= slack])
     return np.concatenate(found[::-1]).tolist() if found else []
+
+
+def _cuts_among_zeros(a: np.ndarray) -> list[int] | None:
+    """The decomposition points of a (0-based), or None after ``_ROUNDS``
+    offsets.
+
+    j >= 1 is a point iff a[j] <= 0 and a[j + d] <= d for 0 < d < max(a):
+    entries further on are at most max(a).  The candidates start as the
+    zeros, and offset d = 1, 2, ... drops those with a[j + d] > d, until the
+    rest of the survivors' windows fits one gather of ``_CHUNK`` entries.
+    """
+    n = len(a)
+    top = int(a.max())
+    cand = np.flatnonzero(a[1:] <= 0)
+    cand += 1
+    # an offset past the end reads the last entry, which then passes:
+    # a[n - 1] <= n - 1 - j < d, or j was dropped at offset n - 1 - j
+    for d in range(1, top):
+        if len(cand) * (top - d) <= _CHUNK:
+            offsets = np.arange(d, top)
+            at = cand[:, None] + offsets
+            np.minimum(at, n - 1, out=at)
+            cand = cand[(a[at] <= offsets).all(axis=1)]
+            break
+        if d > _ROUNDS:
+            return None
+        at = cand + d
+        np.minimum(at, n - 1, out=at)
+        cand = cand[a[at] <= d]
+    return cand.tolist()
 
 
 @dataclass(frozen=True)

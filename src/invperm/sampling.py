@@ -127,10 +127,17 @@ def sample_composition(
     gen = ctx.generator
     marks = _scratch_array("mask", slots, bool)[:slots]
     try:
-        missing = drawn
-        while missing:
-            marks[gen.integers(0, slots, missing)] = True
+        if drawn:
+            marks[gen.integers(0, slots, drawn)] = True
             missing = drawn - np.count_nonzero(marks)
+            while missing:
+                # a top-up counts only the distinct slots it newly marks
+                picks = gen.integers(0, slots, missing)
+                fresh = picks[~marks[picks]]
+                marks[fresh] = True
+                if len(fresh):
+                    fresh.sort()
+                    missing -= 1 + np.count_nonzero(fresh[1:] != fresh[:-1])
         if drawn < parts - 1:
             np.logical_not(marks, out=marks)
         bars = np.flatnonzero(marks)
@@ -140,10 +147,13 @@ def sample_composition(
     # closing the row
     if out is None:
         out = np.empty(parts, dtype=np.int64)
-    out[:-1] = bars
-    out[-1] = slots
-    out[1:] -= bars
-    out[1:] -= 1
+    if parts == 1:
+        out[0] = total
+        return out
+    out[0] = bars[0]
+    np.subtract(bars[1:], bars[:-1], out=out[1:-1])
+    out[1:-1] -= 1
+    out[-1] = slots - 1 - bars[-1]
     return out
 
 
@@ -185,8 +195,9 @@ class SplitSampler:
     before it and its short local prefix sums, which together imply every
     full-width prefix sum exactly, in about 1/sqrt(a_max) of their space.
 
-    A tail is kept iff each x_{c+i} <= c+i-1; every bound is at least c, so
-    only the parts above c are checked, against no stored array of bounds.
+    A tail is kept iff each x_{c+i} <= c+i-1; the bounds rise from c, so
+    only the parts before index max(tail) - c are checked, against no
+    stored array of bounds.
     Draws use the drawing thread's scratch, which a build grows and which is
     held until the thread ends: threads may draw at once, though
     ``restarts`` is exact only when one thread draws.
@@ -275,8 +286,18 @@ class SplitSampler:
         """The number of prefix sums of W at most u, for 0 <= u < sum W."""
         b = bisect.bisect_right(self._bases, u) - 1
         a0, factor, sums = self._blocks[b]
-        # base + P * s <= u  iff  s <= (u - base) // P
-        return a0 + bisect.bisect_right(sums, (u - self._bases[b]) // factor)
+        # base + P * s <= u  iff  s <= (u - base) // P.  With top and f the
+        # two cut short by the same low bits, top // (f + 1) and
+        # (top + 1) // f bound that quotient; when both fall between the
+        # same two local sums, so does it, and otherwise the division decides
+        rest = u - self._bases[b]
+        shift = factor.bit_length() - sums[-1].bit_length() - 64
+        if shift > 0:
+            top, f = rest >> shift, factor >> shift
+            i = bisect.bisect_right(sums, top // (f + 1))
+            if i == bisect.bisect_right(sums, (top + 1) // f):
+                return a0 + i
+        return a0 + bisect.bisect_right(sums, rest // factor)
 
     def sample(self, ctx: SamplerContext) -> np.ndarray:
         """One exactly uniform inversion sequence, as an int64 array."""
@@ -289,9 +310,10 @@ class SplitSampler:
             a = self._head_sum(ctx.uniform_below(self._total))
             head = sample_inversion_sequence(c, a, head_ctx)
             tail = sample_composition(self._tail_parts, mw - a, ctx, out)
-            # part i (0-based) is bounded by c + i >= c: check parts above c
-            over = np.flatnonzero(tail > c)
-            if np.all(tail[over] - over <= c):
+            # part i (0-based) is bounded by c + i, so only the parts before
+            # index max(tail) - c can exceed their bounds
+            k = min(int(tail.max()) - c, len(tail))
+            if k <= 0 or np.all(tail[:k] <= np.arange(c, c + k)):
                 x = np.concatenate([np.asarray(head, dtype=np.int64), tail])
                 if self.reflected:
                     x = np.arange(self.n, dtype=np.int64) - x

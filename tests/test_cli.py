@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from invperm.cli import main
+from invperm.experiments import run_monotonicity_check
 
 
 def run_cli(capsys, *argv):
@@ -426,6 +427,40 @@ def test_census_monotonicity_mode(capsys, tmp_path):
     path.write_text(json.dumps({"mode": "monotonicity", "n": 5}))
     code, out, err = run_cli(capsys, "census", "--config", str(path))
     assert code == 0 and err == "" and json.loads(out)["n"] == 5
+
+
+@pytest.mark.parametrize("n", ["1", "10"])
+def test_census_monotonicity_size_guard_names_n(n, capsys):
+    code, out, err = run_cli(capsys, "census", "--mode", "monotonicity", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"invperm census: monotonicity mode needs 2 <= n <= 9; got n={n}\n"
+
+
+def test_census_monotonicity_refuses_the_fields_it_ignores(capsys, tmp_path):
+    """The exhaustive check draws nothing, so a seed, trial count, points or
+    parallelism other than the default are refused by name, from flags and
+    from a config file; the defaults themselves are accepted."""
+    code, out, err = run_cli(
+        capsys, "census", "--mode", "monotonicity", "--n", "4",
+        "--seed", "3", "--mu", "0", "--trials", "7",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "invperm census: monotonicity mode checks every permutation and draws "
+        "nothing; drop trials=7, seed=3, mu_list=[0.0]\n"
+    )
+    path = tmp_path / "mono.json"
+    path.write_text(json.dumps({"mode": "monotonicity", "n": 4, "m_list": [2], "parallelism": 1}))
+    code, out, err = run_cli(capsys, "census", "--config", str(path))
+    assert code == 2 and out == "" and err.endswith("; drop m_list=[2]\n")
+
+    code, out, err = run_cli(
+        capsys, "census", "--mode", "monotonicity", "--n", "4", "--seed", "0", "--trials", "1000"
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    payload.pop("wall_seconds")
+    assert payload == json.loads(run_monotonicity_check(4).to_json())
 
 
 def test_runtime_imports_no_scipy():

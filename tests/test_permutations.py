@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,12 @@ def test_decomposition_points_in_chunks_match_definition(monkeypatch, chunk):
             assert decomposition_points(seq) == decomposition_points_of_sequence_brute(
                 seq.tolist()
             )
+        # a last entry above the zero filter's round bound keeps its
+        # candidates past it, so the chunked pass decides, across edges
+        seq = rng.integers(0, 2, size=n + 30)
+        seq[1], seq[-1] = 0, permutations._ROUNDS + 8
+        expected = decomposition_points_of_sequence_brute(seq.tolist())
+        assert decomposition_points(seq) == expected and expected[0] == 1
 
 
 def test_decomposition_points_match_one_pass_at_census_size():
@@ -215,6 +222,75 @@ def test_decomposition_points_match_one_pass_at_census_size():
         expected = (np.flatnonzero(np.arange(1, len(seq)) <= suffix[1:]) + 1).tolist()
         assert decomposition_points(seq) == expected
     assert len(expected) > 40_000
+
+
+def decomposition_points_by_definition(seq):
+    """The brute definition, one vectorised comparison per position."""
+    a = np.asarray(seq)
+    offsets = np.arange(len(a))
+    return [j for j in range(1, len(a)) if (a[j:] <= offsets[: len(a) - j]).all()]
+
+
+@pytest.mark.parametrize("extra", [2, 7])
+def test_decomposition_paths_just_above_one_chunk_match_definition(monkeypatch, extra):
+    """Just above ``_CHUNK`` entries: zeros with a 2 in front and a few more
+    end in the filter, with too many candidates for a gather; geometric
+    sequences with zeros at the end go through filter rounds to the window
+    gather; and (0, ..., 0, n - 1), the permutation (2, 3, ..., n, 1),
+    keeps its zeros past the round bound and falls to the suffix-minimum
+    pass."""
+    n = permutations._CHUNK + extra
+    rng = np.random.default_rng(extra)
+    sparse = np.zeros(n, dtype=np.int64)
+    sparse[0] = 2
+    sparse[rng.integers(1, n, size=extra // 3)] = 2
+    sequences = [sparse]
+    for p in (0.1, 0.3, 0.6):
+        seq = rng.geometric(p, size=n) - 1
+        seq[-5:] = 0
+        sequences.append(seq)
+    adversarial = np.zeros(n, dtype=np.int64)
+    adversarial[-1] = n - 1
+    sequences.append(adversarial)
+    filtered = []
+    cuts_among_zeros = permutations._cuts_among_zeros
+    monkeypatch.setattr(
+        permutations,
+        "_cuts_among_zeros",
+        lambda a: filtered.append(cuts_among_zeros(a)) or filtered[-1],
+    )
+    for seq in sequences:
+        assert decomposition_points(seq) == decomposition_points_by_definition(seq)
+    assert [cuts is None for cuts in filtered] == [False] * 4 + [True]
+    assert len(filtered[0]) > permutations._CHUNK
+
+
+def test_decomposition_points_of_census_draws_match_the_chunked_pass(monkeypatch):
+    """Split-sampler draws at n = 10^5, mu = -1, 0, 1: the zero filter
+    gives the chunked suffix-minimum pass's points."""
+    draws = []
+    for m in (704_118, 764_911, 825_704):
+        sampler = SplitSampler(100_000, m)
+        draws += [sampler.sample(SamplerContext(None, 41, (m, t))) for t in range(4)]
+    filtered = [decomposition_points(x) for x in draws]
+    # a filter that gives up at once leaves every draw to the chunked pass
+    monkeypatch.setattr(permutations, "_cuts_among_zeros", lambda a: None)
+    assert filtered == [decomposition_points(x) for x in draws]
+    assert sum(map(len, filtered)) > 0
+
+
+def test_decomposition_points_of_a_cycle_stop_filtering_at_the_round_bound():
+    """(0, ..., 0, n - 1), the inversion sequence of (2, 3, ..., n, 1), at
+    n = 10^5 loses one candidate per offset, so the filter stops after
+    ``_ROUNDS`` offsets and the chunked pass decides: no cut, far within a
+    second (a filter without that bound would take n offsets)."""
+    assert inversion_sequence((2, 3, 4, 5, 1)) == [0, 0, 0, 0, 4]
+    n = 100_000
+    x = np.zeros(n, dtype=np.int64)
+    x[-1] = n - 1
+    start = time.perf_counter()
+    assert decomposition_points(x) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_blocks_examples():

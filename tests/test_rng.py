@@ -45,3 +45,26 @@ def test_bernoulli_fraction_frequency():
     ctx = SamplerContext(None, 6)
     hits = sum(ctx.bernoulli_fraction(2, 7) for _ in range(7000))
     assert stats.binomtest(hits, 7000, 2 / 7).pvalue > 1e-4
+
+
+class _ScriptedRaw:
+    """Stands in for the numpy generator: its ``bit_generator.random_raw``
+    returns the scripted 64-bit values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.bit_generator = self
+
+    def random_raw(self):
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize("second, outcome", [(0, True), (2**64 - 1, False)])
+def test_bernoulli_fraction_refines_within_one_den_of_the_threshold(second, outcome):
+    """For 1/3, r = (2^64 - 1) // 3 gives lhs = 3r = 2^64 - 1 below
+    rhs = 2^64 but less than one den below it, so the first draw decides
+    nothing and the comparison refines with num = 1; the second decides."""
+    raw = _ScriptedRaw([(2**64 - 1) // 3, second])
+    ctx = SamplerContext(None, 0, _gen=raw)
+    assert ctx.bernoulli_fraction(1, 3) is outcome
+    assert raw.values == []

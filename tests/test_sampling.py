@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -504,6 +505,30 @@ def test_head_sum_exact_around_every_prefix_sum_at_census_size():
     us += [c + d for c in cums[:-1] for d in (-1, 0, 1)]
     for u in us:
         assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+
+
+@pytest.mark.parametrize("m", [704_118, 764_911, 825_704])
+def test_head_sum_bounds_decide_as_the_exact_division(m):
+    """At n = 10^5, mu = -1, 0, 1, every block base, S(a) - 1 and S(a) at
+    every prefix sum S(a), and 10^4 random u go to bisect_right over the
+    full-width prefix sums.  One below a prefix sum inside a block, that
+    sum lies between the two shifted bounds, so the draw takes the exact
+    division."""
+    sampler = SplitSampler(100_000, m)
+    cums = _block_form_cumsums(sampler)
+    pick = random.Random(m)
+    us = sampler._bases + [c + d for c in cums[:-1] for d in (-1, 0)]
+    us += [pick.randrange(sampler._total) for _ in range(10_000)]
+    for u in us:
+        assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+    # a forced tie: u = base + P * s - 1, s a local sum but the block's
+    # last, puts s between top // (f + 1) and (top + 1) // f
+    base, (a0, factor, sums) = sampler._bases[3], sampler._blocks[3]
+    u = base + factor * sums[5] - 1
+    shift = factor.bit_length() - sums[-1].bit_length() - 64
+    top, f = (u - base) >> shift, factor >> shift
+    assert shift > 0 and top // (f + 1) < sums[5] <= (top + 1) // f
+    assert sampler._head_sum(u) == a0 + bisect.bisect_right(sums, (u - base) // factor) == a0 + 5
 
 
 class _InterruptedGenerator:
