@@ -5,8 +5,8 @@ Subcommands: ``count``, ``table``, ``blocks``, ``invseq``, ``sample``,
 on bad input: :func:`main` turns a ``ValueError`` or an ``OSError`` into
 one ``invperm <command>: <message>`` line on stderr.  ``count --table``
 also exits with 2 on an unreadable cache, and ``chain`` for n above
-``CHAIN_MAX_N``, before it builds its count table.  Census exits with 1
-when its report has not passed.
+``CHAIN_MAX_N``, before it builds its count table.  ``census`` exits with 1
+when its report, judged by ``experiments.judge``, has not passed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from . import counting
 from .coupling import BetaTable, materialize_rho, run_chain
-from .experiments import RUNNERS, ExperimentConfig
+from .experiments import RUNNERS, ExperimentConfig, run_census
 from .limits import alpha_for_mu, threshold_params
 from .permutations import (
     blocks,
@@ -175,7 +175,7 @@ def _cmd_census(args) -> int:
         cfg.validate()
     except TypeError as exc:
         raise ValueError(exc) from exc
-    report = RUNNERS[cfg.mode](cfg)
+    report = run_census(cfg)
     print(report.to_json(deterministic=False))
     return 0 if report.passed else 1
 

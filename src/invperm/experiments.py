@@ -1,23 +1,15 @@
-"""Monte Carlo harness for the desk-scale limit-law experiments.
+"""Monte Carlo harness for the desk-scale census experiments.
 
-Four modes, each a runner in :data:`RUNNERS`: ``components`` (block-count
-distribution against its Poisson limit), ``blocks`` (smallest/largest
-block against the Exp/Gumbel limits), ``monotonicity`` (exact exhaustive
-small-n checks), and ``marked`` (marked points of the composition model
-against true decomposition points).
+Four modes, each a runner in :data:`RUNNERS`: ``components`` (the law of
+the block count), ``blocks`` (smallest, largest, first and last block),
+``monotonicity`` (exact exhaustive small-n checks) and ``marked`` (marked
+points of the composition model against true decomposition points).
 
-Every runner returns a :class:`Report`, whose ``to_json`` serves all four,
-and saves it to ``out_dir`` when the config names one.  The two sampling
-censuses share one trial loop.
-
-Statistical pass tolerances live in :data:`TOLERANCES`.  They are
-empirical desk-scale anchors: the limit theorems carry error terms of
-order 1/log n, which at reachable n is a visible constant, so finite-n
-deviations from the pure limit laws are expected and the reports include
-the measured values for regression tracking.
-
-The statistics use numpy and ``math`` alone.  The first/last-block
-p-value is the exact two-sample law at any trial count, above 10 000 too.
+The component and block runners, which share one trial loop, only
+measure; :func:`judge` then holds a census to the exact finite-n law with
+:data:`TOLERANCES`, keeping its distance to the limit laws as anchors.
+The marked and monotonicity checks are exact and carry their own verdict.
+The statistics use numpy and ``math`` alone.
 """
 
 from __future__ import annotations
@@ -35,7 +27,14 @@ from math import factorial
 import numpy as np
 
 from .counting import max_inversions
-from .limits import REGIME_THRESHOLD, threshold_params
+from .limits import (
+    REGIME_THRESHOLD,
+    classify_regime,
+    finite_n_block_cdfs,
+    finite_n_cut_law,
+    finite_n_mean_cuts,
+    threshold_params,
+)
 from .limits import alpha_for_mu as _alpha_for_mu
 from .limits import marked_points as _marked_points
 from .permutations import decomposition_points, enumerate_inversion_sequences
@@ -44,15 +43,17 @@ from .sampling import SplitSampler, sample_composition
 
 SCHEMA_VERSION = 1
 
-#: Desk-scale statistical tolerances (empirical anchors, see README).
+#: The tolerances :func:`judge` holds a census to (see README).
 TOLERANCES = {
     "component_mean_sigma": 3.0,
     "component_tv": 0.10,
     "block_ks_exp": 0.08,
     "block_ks_gumbel": 0.08,
     "first_last_pvalue": 1e-3,
-    "tolerance_basis": "empirical desk-scale anchors; the limit laws "
-    "converge at rate O(1/log n), not checkable as hard oracles",
+    "tolerance_basis": "fixed bounds on a census's distance to the exact "
+    "finite-n law (invperm.limits.finite_n_*; the block CDFs at the saddle "
+    "point only), sized for the Monte Carlo noise of about 10^3 trials; "
+    "block_ks_exp and block_ks_gumbel bound KS(L_min) and KS(L_max)",
 }
 
 
@@ -156,28 +157,29 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def tv_distance(hist, lam: float) -> float:
-    """Total variation between a histogram of counts and Poisson(lam).
-
-    Half the l1 gap over the histogram support, plus half the Poisson
-    mass beyond it (where the empirical mass is zero).
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+def tv_to_law(hist, law) -> float:
+    """Total variation between a histogram of counts on 0, 1, ... (a dict
+    or an array) and a law on 0..len(law)-1: half the l1 gap, plus half the
+    law's mass beyond len(law), counted as unmatched (an upper bound)."""
     if isinstance(hist, dict):
-        kmax = max(hist)
-        counts = np.zeros(kmax + 1)
-        for k, v in hist.items():
-            counts[k] = v
-    else:
-        counts = np.asarray(hist, dtype=float)
+        hist = np.bincount(list(hist), weights=list(hist.values()))
+    counts = np.asarray(hist, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise ValueError("histogram is empty")
-    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(len(counts))])
-    pmf = np.exp(np.arange(len(counts)) * math.log(lam) - log_factorials - lam)
-    tail = max(0.0, 1.0 - float(pmf.sum()))
-    return 0.5 * float(np.abs(counts / total - pmf).sum()) + 0.5 * tail
+    emp, ref = np.zeros((2, max(len(counts), len(law))))
+    emp[: len(counts)], ref[: len(law)] = counts / total, law
+    return 0.5 * (float(np.abs(emp - ref).sum()) + max(0.0, 1.0 - float(np.sum(law))))
+
+
+def tv_distance(hist, lam: float) -> float:
+    """Total variation between a histogram of counts and Poisson(lam):
+    :func:`tv_to_law` fed the Poisson pmf on the histogram's support."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    size = max(hist) + 1 if isinstance(hist, dict) else len(hist)
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    return tv_to_law(hist, np.exp(np.arange(size) * math.log(lam) - log_factorials - lam))
 
 
 def _ks_distance(sample, cdf) -> float:
@@ -187,6 +189,27 @@ def _ks_distance(sample, cdf) -> float:
     above = np.arange(1.0, size + 1) / size - values
     below = values - np.arange(0.0, size) / size
     return float(max(above.max(), below.max()))
+
+
+def _quantile_grid(sample: np.ndarray, n: int) -> np.ndarray:
+    """0, the sample's percentiles and n: integer points at which the
+    empirical CDF of block sizes in 1..n rises by about 1% at a time."""
+    levels = np.linspace(0.0, 1.0, 101)
+    return np.unique(np.concatenate(([0, n], np.quantile(sample, levels, method="lower"))))
+
+
+def _ks_upper_bound(sample: np.ndarray, grid: np.ndarray, cdf: np.ndarray) -> float:
+    """Upper bound on sup_t |E(t) - R(t)| for the empirical CDF E of
+    ``sample`` and a reference CDF R known at the increasing ``grid``,
+    where E = R = 0 below grid[0] and E = R = 1 from grid[-1] on.  On the
+    integers of [g_i, g_{i+1}) both are nondecreasing, so
+    E - R <= E(g_{i+1} - 1) - R(g_i) and R - E <= R(g_{i+1} - 1) - E(g_i),
+    with R(g_{i+1} - 1) bounded by R(g_{i+1}) unless it is R(g_i)."""
+    sample = np.sort(sample)
+    at = np.searchsorted(sample, grid, side="right") / len(sample)
+    below = np.searchsorted(sample, grid, side="left") / len(sample)
+    cdf_top = np.where(np.diff(grid) == 1, cdf[:-1], cdf[1:])
+    return float(max(np.max(below[1:] - cdf[:-1]), np.max(cdf_top - at[:-1])))
 
 
 def _ks_2samp_pvalue(a, b) -> float:
@@ -215,8 +238,8 @@ def _ks_2samp_pvalue(a, b) -> float:
 class Report:
     """Fields every census report carries, and its one JSON writer.
 
-    Each subclass also has a ``passed`` verdict, which sets the CLI's exit
-    code.
+    Each subclass has a ``passed`` verdict, which sets the CLI's exit code:
+    its own exact check, or the judgement :func:`judge` gives a census.
     """
 
     schema_version: int = SCHEMA_VERSION
@@ -226,9 +249,9 @@ class Report:
     wall_seconds: float = field(default=0.0, compare=False)
 
     def to_json(self, deterministic: bool = True) -> str:
-        """Sorted, indented JSON without ``raw``; ``wall_seconds`` and each
-        point's ``sampler`` diagnostics are left out of the deterministic
-        payload."""
+        """Sorted, indented JSON without ``raw``; ``wall_seconds`` (measuring
+        and judging) and each point's ``sampler`` diagnostics are left out
+        of the deterministic payload."""
         payload = asdict(self)
         payload.pop("raw", None)
         if deterministic:
@@ -342,154 +365,183 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int):
 
 @dataclass
 class CensusPoint:
-    """Aggregate statistics for one (n, m) in a component census."""
+    """What a component census measured at one (n, m)."""
 
     mu: float | None
     m: int
     regime: str
-    lam: float
     histogram: dict[int, int]
     mean: float
     stderr: float
-    mean_gap_sigma: float
-    tv: float
-    mean_ok: bool
-    tv_ok: bool
     sampler: SamplerStats = field(compare=False)
 
 
-@dataclass(kw_only=True)
-class ComponentCensusReport(Report):
+@dataclass
+class Judgement:
+    """:func:`judge`'s verdicts on a census, one per point in order."""
+
+    reference: str
     tolerances: dict
-    points: list[CensusPoint]
+    points: list[Verdict]
     passed: bool
 
 
+@dataclass(kw_only=True)
+class CensusReport(Report):
+    """A sampling census: its measured points, then its judgement."""
+
+    points: list
+    judgement: Judgement | None = None
+
+    @property
+    def passed(self) -> bool:
+        if self.judgement is None:
+            raise ValueError("an unjudged census has no verdict; call judge(report)")
+        return self.judgement.passed
+
+
+@dataclass(kw_only=True)
+class ComponentCensusReport(CensusReport):
+    points: list[CensusPoint]
+
+
 def run_component_census(cfg: ExperimentConfig) -> ComponentCensusReport:
-    """Distribution of (block count - 1) against Poisson(n*h)."""
+    """The law of (block count - 1) at each point: histogram, mean and
+    standard error."""
     t0 = _start(cfg, "components")
     points = []
     for key, (mu, m) in enumerate(cfg.resolved_points()):
         params = threshold_params(cfg.n, m)
         rows, sampler = _run_trials(cfg, m, key)
-        cuts = [row[0] - 1 for row in rows]
-        values = np.array(cuts)
-        hist = dict(sorted(Counter(cuts).items()))
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-        tv = tv_distance(hist, params.lam)
-        gap = abs(mean - params.lam) / stderr if stderr > 0 else math.inf
-        points.append(
-            CensusPoint(
-                mu=mu,
-                m=m,
-                regime=params.regime,
-                lam=params.lam,
-                histogram=hist,
-                mean=mean,
-                stderr=stderr,
-                mean_gap_sigma=gap,
-                tv=tv,
-                mean_ok=gap <= TOLERANCES["component_mean_sigma"],
-                tv_ok=tv <= TOLERANCES["component_tv"],
-                sampler=sampler,
-            )
-        )
-    report = ComponentCensusReport(
-        n=cfg.n,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        tolerances=dict(TOLERANCES),
-        points=points,
-        passed=all(p.mean_ok and p.tv_ok for p in points if p.regime == REGIME_THRESHOLD),
-        wall_seconds=time.time() - t0,
+        cuts = np.array([row[0] - 1 for row in rows])
+        hist = dict(sorted(Counter(cuts.tolist()).items()))
+        stderr = float(cuts.std(ddof=1) / math.sqrt(len(cuts))) if len(cuts) > 1 else 0.0
+        points.append(CensusPoint(mu, m, params.regime, hist, float(cuts.mean()), stderr, sampler))
+    return ComponentCensusReport(
+        n=cfg.n, trials=cfg.trials, seed=cfg.seed, points=points, wall_seconds=time.time() - t0
     )
-    _maybe_write(cfg, report)
-    return report
 
 
 @dataclass
 class BlockCensusPoint:
     mu: float | None
     m: int
-    lam: float
-    ks_min_exp: float
-    ks_max_gumbel: float
     first_last_pvalue: float
     min_mean: float
     max_mean: float
-    ks_exp_ok: bool
-    ks_gumbel_ok: bool
-    first_last_ok: bool
     sampler: SamplerStats = field(compare=False)
 
 
 @dataclass(kw_only=True)
-class BlockCensusReport(Report):
-    tolerances: dict
+class BlockCensusReport(CensusReport):
     points: list[BlockCensusPoint]
     raw: dict[int, list[tuple[int, int, int, int]]]
-    passed: bool
 
 
 def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
-    """Rescaled smallest/largest block sizes against Exp(1) and Gumbel.
-
-    Per trial records (L_min, L_max, L_first, L_last); tests
-    U = L_min * n * h^2 against Exp(1) and V = h * L_max - log(n h)
-    against the standard Gumbel, plus equidistribution of first and last
-    block sizes (an exact symmetry).
-    """
+    """Per trial, the sizes (L_min, L_max, L_first, L_last) in ``raw``; per
+    point, the means of L_min and L_max and the exact two-sample p-value of
+    L_first against L_last, which are equidistributed (a symmetry)."""
     t0 = _start(cfg, "blocks")
-    points = []
-    raw = {}
+    points, raw = [], {}
     for key, (mu, m) in enumerate(cfg.resolved_points()):
-        params = threshold_params(cfg.n, m)
         trials, sampler = _run_trials(cfg, m, key)
-        rows = [row[1:] for row in trials]
-        raw[m] = rows
-        arr = np.array(rows, dtype=float)
-        lmin, lmax, lfirst, llast = arr.T
-        u = lmin * cfg.n * params.h**2
-        v = params.h * lmax - math.log(cfg.n * params.h)
-        ks_exp = _ks_distance(u, lambda x: -np.expm1(-x))
-        ks_gum = _ks_distance(v, lambda x: np.exp(-np.exp(-x)))
-        pval = _ks_2samp_pvalue(lfirst, llast)
-        points.append(
-            BlockCensusPoint(
-                mu=mu,
-                m=m,
-                lam=params.lam,
-                ks_min_exp=ks_exp,
-                ks_max_gumbel=ks_gum,
-                first_last_pvalue=pval,
-                min_mean=float(lmin.mean()),
-                max_mean=float(lmax.mean()),
-                ks_exp_ok=ks_exp <= TOLERANCES["block_ks_exp"],
-                ks_gumbel_ok=ks_gum <= TOLERANCES["block_ks_gumbel"],
-                first_last_ok=pval > TOLERANCES["first_last_pvalue"],
-                sampler=sampler,
-            )
-        )
-    report = BlockCensusReport(
-        n=cfg.n,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        tolerances=dict(TOLERANCES),
-        points=points,
-        raw=raw,
-        passed=all(
-            p.ks_exp_ok and p.ks_gumbel_ok and p.first_last_ok for p in points
-        ),
+        rows = raw[m] = [row[1:] for row in trials]
+        lmin, lmax, lfirst, llast = np.array(rows, dtype=float).T
+        pvalue = _ks_2samp_pvalue(lfirst, llast)
+        means = float(lmin.mean()), float(lmax.mean())
+        points.append(BlockCensusPoint(mu, m, pvalue, *means, sampler))
+    return BlockCensusReport(
+        n=cfg.n, trials=cfg.trials, seed=cfg.seed, points=points, raw=raw,
         wall_seconds=time.time() - t0,
     )
-    stem = _maybe_write(cfg, report)
-    if stem is not None:
-        with open(stem + ".csv", "w") as fh:
-            fh.write("m,trial,l_min,l_max,l_first,l_last\n")
-            for m, rows in raw.items():
-                for trial, row in enumerate(rows):
-                    fh.write(f"{m},{trial}," + ",".join(map(str, row)) + "\n")
+
+
+@dataclass
+class Verdict:
+    """One census point judged: ``measured`` holds its distances to the
+    finite-n law, ``ok`` whether each is within its tolerance, and
+    ``anchors`` its distances to the n -> infinity limit laws.  A point
+    with no finite-n law says why in ``unjudged``; its ``ok`` is empty."""
+
+    m: int
+    anchors: dict[str, float]
+    unjudged: str | None
+    measured: dict[str, float] = field(default_factory=dict)
+    ok: dict[str, bool] = field(default_factory=dict)
+
+
+def _unjudged(n: int, m: int) -> str | None:
+    """Why (n, m) has no finite-n law to judge against, or None."""
+    if classify_regime(n, m) != REGIME_THRESHOLD:
+        return "m outside n-1..C(n-1,2): a trivial regime"
+    if 2 * m > max_inversions(n):
+        return "2m > C(n,2): outside the finite-n law's range"
+    return None
+
+
+def _gap_sigma(point: CensusPoint, mean: float) -> float:
+    return abs(point.mean - mean) / point.stderr if point.stderr > 0 else math.inf
+
+
+def _judge_component(n: int, p: CensusPoint) -> Verdict:
+    lam = threshold_params(n, p.m).lam
+    anchors = {"lam": lam, "gap_sigma": _gap_sigma(p, lam), "tv": tv_distance(p.histogram, lam)}
+    verdict = Verdict(p.m, anchors, _unjudged(n, p.m))
+    if verdict.unjudged is None:
+        ref_mean = finite_n_mean_cuts(n, p.m)
+        law = finite_n_cut_law(n, p.m, kmax=max(30, max(p.histogram) + 1))
+        gap, tv = _gap_sigma(p, ref_mean), tv_to_law(p.histogram, law)
+        verdict.measured = {"ref_mean": ref_mean, "mean_gap_sigma": gap, "tv": tv}
+        verdict.ok = {
+            "mean": gap <= TOLERANCES["component_mean_sigma"],
+            "tv": tv <= TOLERANCES["component_tv"],
+        }
+    return verdict
+
+
+def _judge_block(n: int, p: BlockCensusPoint, rows) -> Verdict:
+    h = threshold_params(n, p.m).h
+    lmin, lmax = np.array(rows).T[:2]
+    anchors = {
+        "ks_min_exp": _ks_distance(lmin * n * h**2, lambda x: -np.expm1(-x)),
+        "ks_max_gumbel": _ks_distance(h * lmax - math.log(n * h), lambda x: np.exp(-np.exp(-x))),
+    }
+    verdict = Verdict(p.m, anchors, _unjudged(n, p.m))
+    if verdict.unjudged is None:
+        grid_min, grid_max = _quantile_grid(lmin, n), _quantile_grid(lmax, n)
+        cdf_min, cdf_max = finite_n_block_cdfs(n, p.m, grid_min, grid_max, contour=False)
+        ks_min = _ks_upper_bound(lmin, grid_min, cdf_min)
+        ks_max = _ks_upper_bound(lmax, grid_max, cdf_max)
+        verdict.measured = {"ks_min": ks_min, "ks_max": ks_max}
+        verdict.ok = {
+            "ks_min": ks_min <= TOLERANCES["block_ks_exp"],
+            "ks_max": ks_max <= TOLERANCES["block_ks_gumbel"],
+            "first_last": p.first_last_pvalue > TOLERANCES["first_last_pvalue"],
+        }
+    return verdict
+
+
+def judge(report: Report) -> Report:
+    """Judge a component or block census against the exact finite-n law
+    with the pinned :data:`TOLERANCES`, and return it; a marked or
+    monotonicity report is exact and is returned as it is.  Components:
+    the mean's gap to ``finite_n_mean_cuts`` and the TV to
+    ``finite_n_cut_law`` on at least 30 values.  Blocks: KS bounds to
+    ``finite_n_block_cdfs`` at the saddle point, and the first/last
+    p-value.  Points without a finite-n law are left out of ``passed``."""
+    t0 = time.time()
+    if isinstance(report, ComponentCensusReport):
+        reference = "finite-n law of C-1: limits.finite_n_mean_cuts, limits.finite_n_cut_law"
+        verdicts = [_judge_component(report.n, p) for p in report.points]
+    elif isinstance(report, BlockCensusReport):
+        reference = "finite-n block CDFs at the saddle point: limits.finite_n_block_cdfs"
+        verdicts = [_judge_block(report.n, p, report.raw[p.m]) for p in report.points]
+    else:
+        return report
+    passed = all(all(v.ok.values()) for v in verdicts)
+    report.judgement = Judgement(reference, dict(TOLERANCES), verdicts, passed)
+    report.wall_seconds += time.time() - t0
     return report
 
 
@@ -568,9 +620,7 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
 
 def _monotonicity_census(cfg: ExperimentConfig) -> MonotonicityReport:
     _start(cfg, "monotonicity")
-    report = run_monotonicity_check(cfg.n)
-    _maybe_write(cfg, report)
-    return report
+    return run_monotonicity_check(cfg.n)
 
 
 @dataclass(kw_only=True)
@@ -614,7 +664,7 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
         inclusion &= {d for d in dec if d <= limit} <= set(marked)
         gaps = np.diff(marked)
         close += bool(len(gaps) and gaps.min() <= nu)
-    report = MarkedReport(
+    return MarkedReport(
         n=cfg.n,
         m=m,
         mu=mu,
@@ -626,21 +676,25 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
         close_pair_frequency=close / cfg.trials,
         wall_seconds=time.time() - t0,
     )
-    _maybe_write(cfg, report)
+
+
+def run_census(cfg: ExperimentConfig) -> Report:
+    """Measure, :func:`judge`, and write the report as JSON (and a block
+    census's rows as CSV) to ``<out_dir>/<mode>_n<n>_seed<seed>``, n and seed
+    as reported, when cfg names an ``out_dir``: what ``invperm census`` does."""
+    report = judge(RUNNERS[cfg.mode](cfg))
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        stem = os.path.join(cfg.out_dir, f"{cfg.mode}_n{report.n}_seed{report.seed}")
+        with open(stem + ".json", "w") as fh:
+            fh.write(report.to_json(deterministic=False))
+        if isinstance(report, BlockCensusReport):
+            with open(stem + ".csv", "w") as fh:
+                fh.write("m,trial,l_min,l_max,l_first,l_last\n")
+                for m, rows in report.raw.items():
+                    for trial, row in enumerate(rows):
+                        fh.write(f"{m},{trial}," + ",".join(map(str, row)) + "\n")
     return report
-
-
-def _maybe_write(cfg: ExperimentConfig, report: Report) -> str | None:
-    """Write the report to ``<out_dir>/<mode>_n<n>_seed<seed>.json``, n and
-    seed as the report states them; return that path without its suffix,
-    or None without an ``out_dir``."""
-    if cfg.out_dir is None:
-        return None
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    stem = os.path.join(cfg.out_dir, f"{cfg.mode}_n{report.n}_seed{report.seed}")
-    with open(stem + ".json", "w") as fh:
-        fh.write(report.to_json(deterministic=False))
-    return stem
 
 
 #: The census modes, each with its runner: the one list of modes.

@@ -1,13 +1,13 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Criteria 6 and 7 check desk-scale Monte Carlo censuses at n = 10^5
-against the exact finite-n law of a uniform permutation with m
-inversions (``invperm.limits.finite_n_*``), with the tolerances pinned in
-``TOLERANCES``.  The n -> infinity limit laws are off at that size by a
-term that decays only like 1/log n, so each census's distance to them is
-printed as a regression anchor, not asserted; criterion 6 also checks
-that the finite-n excess over the limit shrinks as n grows.  See the
-README on finite-size deviations.
+Criteria 6 and 7 judge desk-scale Monte Carlo censuses at n = 10^5 with
+``invperm.experiments.judge``: against the exact finite-n law of a uniform
+permutation with m inversions (``invperm.limits.finite_n_*``), with the
+tolerances pinned in ``TOLERANCES``.  The n -> infinity limit laws are off
+at that size by a term that decays only like 1/log n, so each census's
+distance to them is printed as a regression anchor, not asserted;
+criterion 6 also checks that the finite-n excess over the limit shrinks
+as n grows.  See the README on finite-size deviations.
 """
 
 import itertools
@@ -28,8 +28,8 @@ from invperm.coupling import (
     symbolic_chain_distributions,
 )
 from invperm.experiments import (
-    TOLERANCES,
     ExperimentConfig,
+    judge,
     run_block_census,
     run_component_census,
     run_monotonicity_check,
@@ -37,7 +37,6 @@ from invperm.experiments import (
 from invperm.limits import (
     alpha_for_mu,
     finite_n_block_cdfs,
-    finite_n_cut_law,
     finite_n_mean_cuts,
     threshold_params,
 )
@@ -216,37 +215,16 @@ TRIALS_DESK = 2000
 @pytest.fixture(scope="module")
 def component_census():
     cfg = ExperimentConfig(
-        n=N_DESK,
-        mode="components",
-        trials=TRIALS_DESK,
-        seed=20_260_810,
-        mu_list=[-1.0, 0.0, 1.0],
+        n=N_DESK, mode="components", trials=TRIALS_DESK, seed=20_260_810, mu_list=[-1.0, 0.0, 1.0]
     )
-    return run_component_census(cfg)
-
-
-def _tv_to_law(hist: dict[int, int], law: np.ndarray) -> float:
-    """Total variation between a histogram of C-1 and a reference law on
-    0..len(law)-1, counting the law's mass beyond that range as unmatched
-    (an upper bound)."""
-    emp = np.zeros(max(max(hist) + 1, len(law)))
-    for k, v in hist.items():
-        emp[k] = v
-    emp /= emp.sum()
-    ref = np.zeros_like(emp)
-    ref[: len(law)] = law
-    return 0.5 * (float(np.abs(emp - ref).sum()) + (1.0 - float(law.sum())))
+    return judge(run_component_census(cfg))
 
 
 def test_criterion_6_poisson_limit(component_census):
     report = component_census
     lines = []
-    ok = True
-    for p in report.points:
-        ref_mean = finite_n_mean_cuts(N_DESK, p.m)
-        gap = abs(p.mean - ref_mean) / p.stderr
-        tv = _tv_to_law(p.histogram, finite_n_cut_law(N_DESK, p.m, kmax=30))
-        ok &= gap <= TOLERANCES["component_mean_sigma"] and tv <= TOLERANCES["component_tv"]
+    ok = report.passed
+    for p, v in zip(report.points, report.judgement.points):
         # the finite-n excess over the limit mean must shrink with n
         excess = []
         for n in (10**4, 10**5, 10**6):
@@ -254,10 +232,10 @@ def test_criterion_6_poisson_limit(component_census):
             excess.append((n, finite_n_mean_cuts(n, m) - threshold_params(n, m).lam))
         ok &= excess[0][1] > excess[1][1] > excess[2][1]
         lines.append(
-            f"mu={p.mu:+.0f}: E_ref={ref_mean:.4f} mean={p.mean:.4f} "
-            f"se={p.stderr:.4f} gap={gap:.2f}sigma TV={tv:.4f}; "
-            f"limit anchors lambda={p.lam:.4f} gap={p.mean_gap_sigma:.1f}sigma "
-            f"TV={p.tv:.4f}; excess*log n = "
+            f"mu={p.mu:+.0f}: E_ref={v.measured['ref_mean']:.4f} mean={p.mean:.4f} "
+            f"se={p.stderr:.4f} gap={v.measured['mean_gap_sigma']:.2f}sigma "
+            f"TV={v.measured['tv']:.4f}; limit anchors lambda={v.anchors['lam']:.4f} "
+            f"gap={v.anchors['gap_sigma']:.1f}sigma TV={v.anchors['tv']:.4f}; excess*log n = "
             + "/".join(f"{e * math.log(n):.3f}" for n, e in excess)
             + " at n=1e4/1e5/1e6"
         )
@@ -311,57 +289,25 @@ def test_criterion_6b_exact_expectation_cross_check():
 @pytest.fixture(scope="module")
 def block_census():
     cfg = ExperimentConfig(
-        n=N_DESK,
-        mode="blocks",
-        trials=TRIALS_DESK,
-        seed=20_260_811,
-        mu_list=[-3.0],
+        n=N_DESK, mode="blocks", trials=TRIALS_DESK, seed=20_260_811, mu_list=[-3.0]
     )
-    return run_block_census(cfg)
-
-
-def _quantile_grid(sample: np.ndarray, n: int) -> np.ndarray:
-    """0, the sample's percentiles and n: integer points at which the
-    empirical CDF of block sizes in 1..n rises by about 1% at a time."""
-    levels = np.linspace(0.0, 1.0, 101)
-    return np.unique(np.concatenate(([0, n], np.quantile(sample, levels, method="lower"))))
-
-
-def _ks_upper_bound(sample: np.ndarray, grid: np.ndarray, cdf: np.ndarray) -> float:
-    """Upper bound on sup_t |E(t) - R(t)| for the empirical CDF E of
-    ``sample`` and a reference CDF R known at the increasing ``grid``,
-    where E = R = 0 below grid[0] and E = R = 1 from grid[-1] on.  On the
-    integers of [g_i, g_{i+1}) both are nondecreasing, so
-    E - R <= E(g_{i+1} - 1) - R(g_i) and R - E <= R(g_{i+1} - 1) - E(g_i),
-    with R(g_{i+1} - 1) bounded by R(g_{i+1}) unless it is R(g_i)."""
-    sample = np.sort(sample)
-    at = np.searchsorted(sample, grid, side="right") / len(sample)
-    below = np.searchsorted(sample, grid, side="left") / len(sample)
-    cdf_top = np.where(np.diff(grid) == 1, cdf[:-1], cdf[1:])
-    return float(max(np.max(below[1:] - cdf[:-1]), np.max(cdf_top - at[:-1])))
+    return judge(run_block_census(cfg))
 
 
 def test_criterion_7_block_size_limits(block_census):
-    p = block_census.points[0]
-    rows = np.array(block_census.raw[p.m])
-    lmin, lmax = rows[:, 0], rows[:, 1]
-    grid_min, grid_max = _quantile_grid(lmin, N_DESK), _quantile_grid(lmax, N_DESK)
-    # at the saddle point only: tests/test_limits.py bounds what that drops
-    cdf_min, cdf_max = finite_n_block_cdfs(N_DESK, p.m, grid_min, grid_max, contour=False)
-    ks_min = _ks_upper_bound(lmin, grid_min, cdf_min)
-    ks_max = _ks_upper_bound(lmax, grid_max, cdf_max)
-    ks_min_ok = ks_min <= TOLERANCES["block_ks_exp"]
-    ks_max_ok = ks_max <= TOLERANCES["block_ks_gumbel"]
+    p, v = block_census.points[0], block_census.judgement.points[0]
+    lmin = np.array(block_census.raw[p.m])[:, 0]
+    # the saddle point only, as judge uses: tests/test_limits.py bounds what that drops
+    (ref_min_1,), _ = finite_n_block_cdfs(N_DESK, p.m, [1], [], contour=False)
     detail = (
-        f"KS(L_min, finite-n) <= {ks_min:.4f} (<= 0.08: {ks_min_ok}); "
-        f"KS(L_max, finite-n) <= {ks_max:.4f} (<= 0.08: {ks_max_ok}); "
-        f"P_ref(L_min=1)={cdf_min[grid_min == 1][0]:.4f} "
-        f"census {np.mean(lmin == 1):.4f}; "
-        f"first/last two-sample p={p.first_last_pvalue:.4f} (> 1e-3: {p.first_last_ok}); "
-        f"limit anchors KS(U, Exp(1))={p.ks_min_exp:.4f} "
-        f"KS(V, Gumbel)={p.ks_max_gumbel:.4f}"
+        f"KS(L_min, finite-n) <= {v.measured['ks_min']:.4f} (<= 0.08: {v.ok['ks_min']}); "
+        f"KS(L_max, finite-n) <= {v.measured['ks_max']:.4f} (<= 0.08: {v.ok['ks_max']}); "
+        f"P_ref(L_min=1)={ref_min_1:.4f} census {np.mean(lmin == 1):.4f}; "
+        f"first/last two-sample p={p.first_last_pvalue:.4f} (> 1e-3: {v.ok['first_last']}); "
+        f"limit anchors KS(U, Exp(1))={v.anchors['ks_min_exp']:.4f} "
+        f"KS(V, Gumbel)={v.anchors['ks_max_gumbel']:.4f}"
     )
-    ok = ks_min_ok and ks_max_ok and p.first_last_ok
+    ok = block_census.passed
     _report(
         "criterion 7 (block extremes vs exact finite-n law, n=1e5, mu=-3, 2000 trials)",
         ok,
@@ -377,7 +323,7 @@ def test_criterion_7_block_size_limits(block_census):
 
 def test_criterion_7b_first_last_symmetry(block_census):
     p = block_census.points[0]
-    ok = p.first_last_ok
+    ok = block_census.judgement.points[0].ok["first_last"]
     _report(
         "criterion 7b (L_first vs L_last equidistribution)",
         ok,

@@ -250,14 +250,35 @@ def test_params_near_q_one_returns_at_once(capsys):
 
 
 def test_census_with_one_trial_writes_strict_json(capsys, tmp_path):
-    """One trial has no spread, so mean_gap_sigma is written as null."""
+    """One trial has no spread, so both mean gaps, to the finite-n mean and
+    to the limit, are written as null."""
     code, out, _ = run_cli(
         capsys, "census", "--mode", "components", "--n", "30", "--m", "60",
         "--trials", "1", "--out", str(tmp_path),
     )
     assert code in (0, 1)
     for text in (out, (tmp_path / "components_n30_seed0.json").read_text()):
-        assert _strict_json(text)["points"][0]["mean_gap_sigma"] is None
+        (verdict,) = _strict_json(text)["judgement"]["points"]
+        assert verdict["measured"]["mean_gap_sigma"] is verdict["anchors"]["gap_sigma"] is None
+
+
+def test_census_judges_against_the_finite_n_law(capsys):
+    """At n = 10^4 the limit law is off by 4-7 standard errors of 400
+    trials, but the exact sampler is within tolerance of the finite-n law,
+    so the census exits 0 and the limit gaps stay as anchors.  At 400
+    trials the TV's noise floor is 0.03-0.08 against a 0.10 tolerance, so
+    the seed is pinned."""
+    code, out, _ = run_cli(
+        capsys, "census", "--mode", "components", "--n", "10000",
+        "--mu", "-1", "--mu", "0", "--mu", "1", "--trials", "400", "--seed", "2",
+    )
+    judgement = _strict_json(out)["judgement"]
+    assert code == 0 and judgement["passed"] is True
+    assert "finite-n" in judgement["reference"]
+    assert len(judgement["points"]) == 3
+    for verdict in judgement["points"]:
+        assert verdict["unjudged"] is None and all(verdict["ok"].values())
+        assert verdict["anchors"]["gap_sigma"] > 3.0
 
 
 def test_census_flag_config(capsys, tmp_path):
@@ -496,14 +517,14 @@ def test_census_exit_code_and_report_files_in_every_mode(argv, files, capsys, tm
     from dataclasses import fields
 
     from invperm.cli import build_parser
-    from invperm.experiments import RUNNERS, ExperimentConfig
+    from invperm.experiments import RUNNERS, ExperimentConfig, judge
 
     words = ["census", "--mode", *argv.split()]
     code, out, _ = run_cli(capsys, *words, "--out", str(tmp_path))
     args = vars(build_parser().parse_args(words))
-    report = RUNNERS[args["mode"]](
+    report = judge(RUNNERS[args["mode"]](
         ExperimentConfig(**{f.name: args[f.name] for f in fields(ExperimentConfig)})
-    )
+    ))
     assert code == (0 if report.passed else 1)
     stem, *others = files
     assert sorted(f.name for f in tmp_path.iterdir()) == [stem + ext for ext in (*others, ".json")]

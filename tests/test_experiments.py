@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,22 +16,30 @@ import pytest
 from scipy import stats
 
 import invperm
+from invperm import experiments
 from invperm.counting import build_table, max_inversions
 from invperm.coupling import BetaTable, run_chain
 from invperm.experiments import (
     RUNNERS,
+    BlockCensusPoint,
+    BlockCensusReport,
+    CensusPoint,
+    ComponentCensusReport,
     ExperimentConfig,
     indecomposable_counts,
+    judge,
     run_block_census,
+    run_census,
     run_component_census,
     run_marked_vs_decomposition,
     run_monotonicity_check,
     _ks_2samp_pvalue,
     _ks_distance,
+    _ks_upper_bound,
     tv_distance,
 )
 from invperm.limits import alpha_for_mu, threshold_params
-from invperm.permutations import decomposition_points
+from invperm.permutations import decomposition_points, enumerate_inversion_sequences
 from invperm.rng import SamplerContext
 from invperm.sampling import SplitSampler
 
@@ -129,16 +138,15 @@ def test_two_sample_pvalue_matches_exact_sum_for_every_h():
 
 def test_block_census_statistics_equal_scipy():
     cfg = ExperimentConfig(n=10_000, mode="blocks", trials=60, seed=5, mu_list=[-3.0, -2.5])
-    report = run_block_census(cfg)
-    for point in report.points:
+    report = judge(run_block_census(cfg))
+    for point, verdict in zip(report.points, report.judgement.points):
         h = threshold_params(cfg.n, point.m).h
         lmin, lmax, lfirst, llast = np.array(report.raw[point.m], dtype=float).T
         u = lmin * cfg.n * h**2
         v = h * lmax - math.log(cfg.n * h)
-        assert point.ks_min_exp == pytest.approx(stats.kstest(u, "expon").statistic, abs=1e-12)
-        assert point.ks_max_gumbel == pytest.approx(
-            stats.kstest(v, "gumbel_r").statistic, abs=1e-12
-        )
+        exp, gumbel = stats.kstest(u, "expon"), stats.kstest(v, "gumbel_r")
+        assert verdict.anchors["ks_min_exp"] == pytest.approx(exp.statistic, abs=1e-12)
+        assert verdict.anchors["ks_max_gumbel"] == pytest.approx(gumbel.statistic, abs=1e-12)
         assert point.first_last_pvalue == float(stats.ks_2samp(lfirst, llast).pvalue)
 
 
@@ -147,6 +155,76 @@ def test_tv_distance_errors():
         tv_distance({0: 10}, 0.0)
     with pytest.raises(ValueError):
         tv_distance([], 1.0)
+
+
+def test_judge_against_a_hand_counted_law():
+    """At n = 6, m = 6 the law of C - 1 is counted over all 90 permutations
+    with 6 inversions; judge's reference mean, mean gap and TV for a
+    histogram made up by hand equal the values computed from that count."""
+    n, m = 6, 6
+    law = Counter(len(decomposition_points(x)) for x in enumerate_inversion_sequences(n, m))
+    assert law == {0: 44, 1: 43, 2: 3}
+    hist = {0: 45, 1: 40, 2: 10, 3: 5}
+    values = np.repeat(list(hist), list(hist.values()))
+    stderr = float(values.std(ddof=1)) / math.sqrt(len(values))
+    point = CensusPoint(None, m, "threshold", hist, float(values.mean()), stderr, None)
+    report = judge(ComponentCensusReport(n=n, trials=100, seed=0, points=[point]))
+    (verdict,) = report.judgement.points
+    exact_mean = F(43 + 2 * 3, 90)
+    exact_tv = sum(abs(F(hist.get(k, 0), 100) - F(law[k], 90)) for k in range(4)) / 2
+    assert exact_tv == F(7, 60)  # 0.1167, above the 0.10 tolerance
+    gap = abs(0.75 - float(exact_mean)) / stderr
+    assert verdict.measured["ref_mean"] == pytest.approx(float(exact_mean), abs=1e-9)
+    assert verdict.measured["mean_gap_sigma"] == pytest.approx(gap, rel=1e-9)
+    assert verdict.measured["tv"] == pytest.approx(float(exact_tv), abs=1e-9)
+    assert verdict.ok == {"mean": gap <= 3.0, "tv": False} and report.passed is False
+
+
+def test_judge_ks_bound_covers_the_brute_force_sup(monkeypatch):
+    """With the reference swapped for known step CDFs, judge's KS bounds
+    for L_min and L_max are at least sup_t |E(t) - R(t)| over every integer
+    t, for samples with fewer distinct values than the quantile grid has
+    points and with more; on the grid of every integer the bound is that
+    sup."""
+    n, m = 400, 1000
+    ts = np.arange(n + 1)
+    r_min = 1.0 - 0.97**ts  # geometric, then all the mass left at n
+    r_max = np.clip((ts - 120) / 280, 0.0, 1.0)  # E - R then peaks between grid points
+    r_min[-1] = 1.0
+
+    def reference(n_, m_, min_grid, max_grid, contour):
+        assert (n_, m_, contour) == (n, m, False)
+        return r_min[np.asarray(min_grid)], r_max[np.asarray(max_grid)]
+
+    monkeypatch.setattr(experiments, "finite_n_block_cdfs", reference)
+    rng = np.random.default_rng(8)
+    for size in (1, 3, 10, 57, 500, 2000):
+        lmin = rng.geometric(0.04, size).clip(1, n)
+        lmax = rng.integers(lmin, n + 1)
+        rows = [(a, b, a, b) for a, b in zip(lmin.tolist(), lmax.tolist())]
+        point = BlockCensusPoint(None, m, 0.5, float(lmin.mean()), float(lmax.mean()), None)
+        report = BlockCensusReport(n=n, trials=size, seed=0, points=[point], raw={m: rows})
+        (verdict,) = judge(report).judgement.points
+        for name, sample, cdf in (("ks_min", lmin, r_min), ("ks_max", lmax, r_max)):
+            brute = max(abs(np.mean(sample <= t) - cdf[t]) for t in ts)
+            assert verdict.measured[name] >= brute - 1e-12
+            assert _ks_upper_bound(sample, ts, cdf) == pytest.approx(brute, abs=1e-12)
+
+
+def test_judge_leaves_points_without_a_finite_n_law_out_of_passed():
+    """A trivial-regime point and a threshold point with 2m > C(n, 2) have
+    no finite-n law: judge names why, gives them no verdicts and leaves them
+    out of ``passed``, though the limit law would fail both."""
+    n = 30
+    report = judge(run_component_census(_component_cfg(m_list=[n - 2, 300, 120])))
+    trivial, high, judged = report.judgement.points
+    assert [p.regime for p in report.points] == ["always_decomposable", "threshold", "threshold"]
+    assert "trivial regime" in trivial.unjudged and "2m > C(n,2)" in high.unjudged
+    assert trivial.measured == trivial.ok == high.measured == high.ok == {}
+    assert min(trivial.anchors["gap_sigma"], high.anchors["gap_sigma"]) > 3
+    assert judged.unjudged is None and report.passed == all(judged.ok.values())
+    report.points = report.points[:2]
+    assert judge(report).passed is True
 
 
 def test_indecomposable_count_recurrence_values():
@@ -185,31 +263,33 @@ def _component_cfg(**kw):
 def test_component_census_trivial_regimes():
     n = 30
     cfg = _component_cfg(m_list=[n - 2, max_inversions(n - 1) + 1])
-    report = run_component_census(cfg)
+    report = judge(run_component_census(cfg))
     decomposable, indecomposable = report.points
     assert decomposable.regime == "always_decomposable"
     assert min(decomposable.histogram) >= 1  # C >= 2 in every trial
     assert indecomposable.regime == "always_indecomposable"
     assert indecomposable.histogram == {0: cfg.trials}
-    # no spread: mean_gap_sigma is inf, which the report writes as null,
-    # so a strict parser (no Infinity or NaN tokens) accepts it
-    assert indecomposable.mean_gap_sigma == math.inf
+    # no spread: the gap to the limit mean is inf, which the report writes
+    # as null, so a strict parser (no Infinity or NaN tokens) accepts it
+    gaps = [v.anchors["gap_sigma"] for v in report.judgement.points]
+    assert gaps[1] == math.inf
 
     def refuse(token):
         raise ValueError(f"{token} is not JSON")
 
     for deterministic in (True, False):
         payload = json.loads(report.to_json(deterministic), parse_constant=refuse)
-        assert payload["points"][0]["mean_gap_sigma"] == decomposable.mean_gap_sigma
-        assert payload["points"][1]["mean_gap_sigma"] is None
+        points = payload["judgement"]["points"]
+        assert points[0]["anchors"]["gap_sigma"] == gaps[0]
+        assert points[1]["anchors"]["gap_sigma"] is None
 
 
 def test_component_census_conservation_and_report():
     cfg = _component_cfg(n=200, trials=100, mu_list=[0.0])
-    report = run_component_census(cfg)
-    point = report.points[0]
+    report = judge(run_component_census(cfg))
+    point, verdict = report.points[0], report.judgement.points[0]
     assert sum(point.histogram.values()) == cfg.trials
-    assert 0.0 <= point.tv <= 1.0
+    assert 0.0 <= verdict.measured["tv"] <= 1.0 and 0.0 <= verdict.anchors["tv"] <= 1.0
     payload = json.loads(report.to_json())
     assert payload["n"] == 200
     assert "wall_seconds" not in payload
@@ -227,8 +307,8 @@ def test_component_census_determinism_and_parallel_merge():
 
 def test_census_outputs_pinned():
     """The deterministic JSON of a component, a block and a marked census,
-    joined with no separator: any change to the sampler, the statistics or
-    the report format changes the digest."""
+    unjudged, joined with no separator: any change to the sampler, the
+    measured statistics or the report format changes the digest."""
     runs = [
         ("components", 10**4, 60, [-1.0, 0.0]),
         ("blocks", 10**4, 60, [-3.0]),
@@ -241,7 +321,7 @@ def test_census_outputs_pinned():
         for mode, n, trials, mus in runs
     )
     assert hashlib.sha256(payload.encode()).hexdigest() == (
-        "d6a41b41430b384bac8be00511e5b3f9715c96f741391e951a51ff7dbc249a61"
+        "d50aca4f0ec00e6d8d24d46cabeb828258fd6afa64763ed1137cceaa906f757b"
     )
 
 
@@ -375,15 +455,14 @@ def test_block_census_small_run():
     cfg = ExperimentConfig(
         n=4000, mode="blocks", trials=120, seed=13, mu_list=[-2.5]
     )
-    report = run_block_census(cfg)
+    report = judge(run_block_census(cfg))
     point = report.points[0]
     rows = report.raw[point.m]
     assert len(rows) == 120
     for lmin, lmax, lfirst, llast in rows:
         assert 1 <= lmin <= lmax <= 4000
         assert lmin <= lfirst <= lmax and lmin <= llast <= lmax
-    assert 0 <= point.ks_min_exp <= 1
-    assert 0 <= point.ks_max_gumbel <= 1
+    assert all(0 <= ks <= 1 for ks in report.judgement.points[0].anchors.values())
     # block sizes always sum to n: recompute two trials directly
     sampler = SplitSampler(4000, point.m)
     for trial in (0, 7):
@@ -483,7 +562,7 @@ def test_config_validation_bounds_parallelism():
 
 def test_report_files_written(tmp_path):
     cfg = _component_cfg(n=80, trials=40, mu_list=[0.0], out_dir=str(tmp_path))
-    run_component_census(cfg)
+    run_census(cfg)
     files = list(tmp_path.iterdir())
     assert any(f.suffix == ".json" for f in files)
     blocks_cfg = ExperimentConfig(
@@ -494,7 +573,7 @@ def test_report_files_written(tmp_path):
         mu_list=[-2.5],
         out_dir=str(tmp_path),
     )
-    run_block_census(blocks_cfg)
+    run_census(blocks_cfg)
     assert any(f.suffix == ".csv" for f in tmp_path.iterdir())
 
 

@@ -350,12 +350,16 @@ def test_finite_n_mean_cuts_match_exact_expectation(n):
     assert abs(law.sum() - 1.0) < 1e-9
 
 
-def test_saddle_block_cdfs_close_to_contour():
+@pytest.mark.parametrize(
+    "n, mu, bound", [(10**4, -3.0, 0.005), (4000, -2.5, 0.01)], ids=["n1e4", "n4000"]
+)
+def test_saddle_block_cdfs_close_to_contour(n, mu, bound):
     """Dropping the conditioning on m (the saddle point alone) moves the
     block-extreme CDFs by less than 0.005 at n = 1e4, mu = -3, on a grid
-    spanning the Exp(1) and Gumbel limit coordinates."""
-    n = 10**4
-    _, m = alpha_for_mu(n, -3.0)
+    spanning the Exp(1) and Gumbel limit coordinates.  n = 4000, mu = -2.5
+    is where the CLI and experiments tests judge block censuses with the
+    saddle-only CDFs (measured 0.0058 there)."""
+    _, m = alpha_for_mu(n, mu)
     p = threshold_params(n, m)
     min_grid = np.unique(
         np.concatenate((np.arange(6), np.geomspace(0.01, 5, 12) / (n * p.h**2))).astype(int)
@@ -364,4 +368,4 @@ def test_saddle_block_cdfs_close_to_contour():
     at_saddle = finite_n_block_cdfs(n, m, min_grid, max_grid, contour=False)
     exact = finite_n_block_cdfs(n, m, min_grid, max_grid)
     for approx, ref in zip(at_saddle, exact):
-        assert np.abs(approx - ref).max() < 0.005
+        assert np.abs(approx - ref).max() < bound

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -68,3 +69,87 @@ def test_bernoulli_fraction_refines_within_one_den_of_the_threshold(second, outc
     ctx = SamplerContext(None, 0, _gen=raw)
     assert ctx.bernoulli_fraction(1, 3) is outcome
     assert raw.values == []
+
+
+class _Words:
+    """numpy's ``Generator`` over Philox, modelled on raw outputs: a 32-bit
+    draw takes the low half of the next raw output and keeps its high half
+    for the following 32-bit draw, while ``random_raw`` takes the next whole
+    output and leaves a kept half in place."""
+
+    def __init__(self, seed, stream):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=stream)
+        self.raw = np.random.Philox(ss).random_raw
+        self.kept = None
+
+    def word(self) -> int:
+        if self.kept is not None:
+            word, self.kept = self.kept, None
+            return word
+        raw = int(self.raw())
+        self.kept = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def bytes(self, k: int) -> bytes:
+        words = [self.word() for _ in range(-(-k // 4))]
+        return b"".join(w.to_bytes(4, "little") for w in words)[:k]
+
+    def integers(self, slots: int, k: int) -> list[int]:
+        """32-bit Lemire: the high word of word * slots, redrawn while the
+        low word is below (2^32 - slots) % slots."""
+        threshold = (2**32 - slots) % slots
+        out = []
+        for _ in range(k):
+            product = self.word() * slots
+            while product & 0xFFFFFFFF < threshold:
+                product = self.word() * slots
+            out.append(product >> 32)
+        return out
+
+
+def _pair(stream):
+    return SamplerContext(None, 11, stream).generator, _Words(11, stream)
+
+
+@pytest.mark.parametrize("k", [1, 5, 8, 13, 5300])
+def test_generator_bytes_are_raw_outputs_low_half_first(k):
+    """``uniform_below`` reads ``Generator.bytes``: on a fresh generator,
+    bytes(k) is the little-endian bytes of ceil(k/8) raw outputs cut to k,
+    and the next raw output is the one after them."""
+    gen, model = _pair((k,))
+    raws = [model.raw() for _ in range(-(-k // 8))]
+    assert gen.bytes(k) == b"".join(int(r).to_bytes(8, "little") for r in raws)[:k]
+    assert gen.bit_generator.random_raw() == model.raw()
+
+
+@pytest.mark.parametrize(
+    "slots, k", [(862_845, 99_933), (3, 7), (5, 1), (2**31 + 11, 1000), (2**32 - 1, 50)]
+)
+def test_generator_integers_is_32_bit_lemire_on_raw_halves(slots, k):
+    """The composition tail calls ``Generator.integers(0, slots, k)`` with
+    slots < 2^32: it is 32-bit Lemire rejection on the raw outputs' halves,
+    low half first, and it reads exactly the outputs the model reads."""
+    gen, model = _pair((slots, k))
+    assert gen.integers(0, slots, k).tolist() == model.integers(slots, k)
+    assert gen.bit_generator.random_raw() == model.raw()
+
+
+def test_a_kept_half_word_carries_over_to_the_next_32_bit_draw():
+    """After a draw that used an odd number of 32-bit words, the next
+    ``bytes`` or ``integers`` call starts from the kept high half, and a
+    ``random_raw`` call in between skips it, so successive ``uniform_below``
+    calls share raw outputs."""
+    gen, model = _pair((0,))
+    for call, k in [("bytes", 1), ("raw", 0), ("bytes", 1), ("integers", 3), ("bytes", 5),
+                    ("raw", 0), ("integers", 1), ("bytes", 13), ("raw", 0), ("bytes", 4)]:
+        if call == "raw":
+            assert gen.bit_generator.random_raw() == model.raw()
+        elif call == "bytes":
+            assert gen.bytes(k) == model.bytes(k)
+        else:
+            assert gen.integers(0, 1000, k).tolist() == model.integers(1000, k)
+    ctx = SamplerContext(None, 11, (1,))
+    model = _Words(11, (1,))
+    assert [ctx.uniform_below(200) for _ in range(4)] == [
+        w for w in (model.word() & 0xFF for _ in range(8)) if w < 200
+    ][:4]
