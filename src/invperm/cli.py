@@ -76,11 +76,13 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_invseq(args) -> int:
-    if args.from_perm:
+    if args.from_perm is not None:
         perm = parse_one_line(args.from_perm)
         print(",".join(str(v) for v in inversion_sequence(perm)))
     else:
         x = _parse_ints(args.to_perm)
+        if not x:
+            raise ValueError("empty inversion sequence")
         print(format_one_line(permutation_from_inversion_sequence(x)))
     return 0
 
@@ -147,11 +149,9 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    if args.m is None and args.mu is None:
-        raise ValueError("need --m or --mu")
-    m = args.m
-    if m is None:
-        _, m = alpha_for_mu(args.n, args.mu)
+    if (args.m is None) == (args.mu is None):
+        raise ValueError("need exactly one of --m and --mu")
+    m = args.m if args.mu is None else alpha_for_mu(args.n, args.mu)[1]
     print(json.dumps(threshold_params(args.n, m).to_dict(), indent=2))
     return 0
 

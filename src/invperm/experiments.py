@@ -249,14 +249,15 @@ class Report:
     wall_seconds: float = field(default=0.0, compare=False)
 
     def to_json(self, deterministic: bool = True) -> str:
-        """Sorted, indented JSON without ``raw``; ``wall_seconds`` (measuring
-        and judging) and each point's ``sampler`` diagnostics are left out
-        of the deterministic payload."""
+        """Sorted, indented JSON without a block point's ``rows``;
+        ``wall_seconds`` (measuring and judging) and each point's ``sampler``
+        diagnostics are left out of the deterministic payload."""
         payload = asdict(self)
-        payload.pop("raw", None)
         if deterministic:
             payload.pop("wall_seconds")
-            for point in payload.get("points", ()):
+        for point in payload.get("points", ()):
+            point.pop("rows", None)
+            if deterministic:
                 point.pop("sampler")
         return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
 
@@ -294,10 +295,6 @@ class SamplerStats:
     acceptance: float
 
 
-def _sampler_stats(head_size: int, trials: int, restarts: int, build_s: float) -> SamplerStats:
-    return SamplerStats(head_size, restarts, build_s, trials / (trials + restarts))
-
-
 # The trials' sampler and stream keys: set once per worker process, or
 # in-process for the length of one ``_run_trials`` call.
 _WORKER: dict = {}
@@ -314,7 +311,7 @@ def _worker_init(n: int, m: int, seed: int, key: int) -> None:
 def _trial_chunk(trial_range: tuple[int, int]):
     """Per trial: the block count and the smallest, largest, first and last
     block size (a summary, not the sizes, which number up to n per trial);
-    and the chunk's sampler diagnostics."""
+    and the sampler's head size, restarts in the chunk and build time."""
     sampler: SplitSampler = _WORKER["sampler"]
     restarts = sampler.restarts
     out = []
@@ -324,10 +321,7 @@ def _trial_chunk(trial_range: tuple[int, int]):
         out.append(
             (len(sizes), int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
         )
-    stats = _sampler_stats(
-        sampler.head_size, len(out), sampler.restarts - restarts, _WORKER["build_s"]
-    )
-    return out, stats
+    return out, (sampler.head_size, sampler.restarts - restarts, _WORKER["build_s"])
 
 
 def _run_trials(cfg: ExperimentConfig, m: int, key: int):
@@ -353,13 +347,9 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int):
             initargs=(cfg.n, m, cfg.seed, key),
         ) as pool:
             chunks = list(pool.map(_trial_chunk, ranges))
-    stats = [s for _, s in chunks]
-    merged = _sampler_stats(
-        stats[0].head_size,
-        cfg.trials,
-        sum(s.restarts for s in stats),
-        max(s.build_s for s in stats),
-    )
+    heads, restarts, builds = zip(*(stats for _, stats in chunks))
+    restarts = sum(restarts)
+    merged = SamplerStats(heads[0], restarts, max(builds), cfg.trials / (cfg.trials + restarts))
     return [row for rows, _ in chunks for row in rows], merged
 
 
@@ -377,6 +367,20 @@ class CensusPoint:
 
 
 @dataclass
+class BlockCensusPoint:
+    """What a block census measured at one (n, m); ``rows``, each trial's
+    (L_min, L_max, L_first, L_last), is left out of JSON."""
+
+    mu: float | None
+    m: int
+    first_last_pvalue: float
+    min_mean: float
+    max_mean: float
+    sampler: SamplerStats = field(compare=False)
+    rows: list[tuple[int, int, int, int]] = field(repr=False)
+
+
+@dataclass
 class Judgement:
     """:func:`judge`'s verdicts on a census, one per point in order."""
 
@@ -390,7 +394,7 @@ class Judgement:
 class CensusReport(Report):
     """A sampling census: its measured points, then its judgement."""
 
-    points: list
+    points: list[CensusPoint | BlockCensusPoint]
     judgement: Judgement | None = None
 
     @property
@@ -400,61 +404,45 @@ class CensusReport(Report):
         return self.judgement.passed
 
 
-@dataclass(kw_only=True)
-class ComponentCensusReport(CensusReport):
-    points: list[CensusPoint]
-
-
-def run_component_census(cfg: ExperimentConfig) -> ComponentCensusReport:
-    """The law of (block count - 1) at each point: histogram, mean and
-    standard error."""
-    t0 = _start(cfg, "components")
+def _sampling_census(cfg: ExperimentConfig, mode: str, make_point) -> CensusReport:
+    """Run each point's trials in turn; ``make_point(n, mu, m, rows, sampler)``
+    builds the point from them."""
+    t0 = _start(cfg, mode)
     points = []
     for key, (mu, m) in enumerate(cfg.resolved_points()):
-        params = threshold_params(cfg.n, m)
         rows, sampler = _run_trials(cfg, m, key)
-        cuts = np.array([row[0] - 1 for row in rows])
-        hist = dict(sorted(Counter(cuts.tolist()).items()))
-        stderr = float(cuts.std(ddof=1) / math.sqrt(len(cuts))) if len(cuts) > 1 else 0.0
-        points.append(CensusPoint(mu, m, params.regime, hist, float(cuts.mean()), stderr, sampler))
-    return ComponentCensusReport(
+        points.append(make_point(cfg.n, mu, m, rows, sampler))
+    return CensusReport(
         n=cfg.n, trials=cfg.trials, seed=cfg.seed, points=points, wall_seconds=time.time() - t0
     )
 
 
-@dataclass
-class BlockCensusPoint:
-    mu: float | None
-    m: int
-    first_last_pvalue: float
-    min_mean: float
-    max_mean: float
-    sampler: SamplerStats = field(compare=False)
+def _component_point(n: int, mu, m: int, rows, sampler) -> CensusPoint:
+    cuts = np.array([row[0] - 1 for row in rows])
+    hist = dict(sorted(Counter(cuts.tolist()).items()))
+    stderr = float(cuts.std(ddof=1) / math.sqrt(len(cuts))) if len(cuts) > 1 else 0.0
+    regime = threshold_params(n, m).regime
+    return CensusPoint(mu, m, regime, hist, float(cuts.mean()), stderr, sampler)
 
 
-@dataclass(kw_only=True)
-class BlockCensusReport(CensusReport):
-    points: list[BlockCensusPoint]
-    raw: dict[int, list[tuple[int, int, int, int]]]
+def _block_point(n: int, mu, m: int, rows, sampler) -> BlockCensusPoint:
+    rows = [row[1:] for row in rows]
+    lmin, lmax, lfirst, llast = np.array(rows, dtype=float).T
+    pvalue = _ks_2samp_pvalue(lfirst, llast)
+    return BlockCensusPoint(mu, m, pvalue, float(lmin.mean()), float(lmax.mean()), sampler, rows)
 
 
-def run_block_census(cfg: ExperimentConfig) -> BlockCensusReport:
-    """Per trial, the sizes (L_min, L_max, L_first, L_last) in ``raw``; per
-    point, the means of L_min and L_max and the exact two-sample p-value of
-    L_first against L_last, which are equidistributed (a symmetry)."""
-    t0 = _start(cfg, "blocks")
-    points, raw = [], {}
-    for key, (mu, m) in enumerate(cfg.resolved_points()):
-        trials, sampler = _run_trials(cfg, m, key)
-        rows = raw[m] = [row[1:] for row in trials]
-        lmin, lmax, lfirst, llast = np.array(rows, dtype=float).T
-        pvalue = _ks_2samp_pvalue(lfirst, llast)
-        means = float(lmin.mean()), float(lmax.mean())
-        points.append(BlockCensusPoint(mu, m, pvalue, *means, sampler))
-    return BlockCensusReport(
-        n=cfg.n, trials=cfg.trials, seed=cfg.seed, points=points, raw=raw,
-        wall_seconds=time.time() - t0,
-    )
+def run_component_census(cfg: ExperimentConfig) -> CensusReport:
+    """The law of (block count - 1) at each point: histogram, mean and
+    standard error."""
+    return _sampling_census(cfg, "components", _component_point)
+
+
+def run_block_census(cfg: ExperimentConfig) -> CensusReport:
+    """Per point, its trials' sizes (L_min, L_max, L_first, L_last) in
+    ``rows``, the means of L_min and L_max and the exact two-sample p-value
+    of L_first against L_last, which are equidistributed (a symmetry)."""
+    return _sampling_census(cfg, "blocks", _block_point)
 
 
 @dataclass
@@ -500,9 +488,9 @@ def _judge_component(n: int, p: CensusPoint) -> Verdict:
     return verdict
 
 
-def _judge_block(n: int, p: BlockCensusPoint, rows) -> Verdict:
+def _judge_block(n: int, p: BlockCensusPoint) -> Verdict:
     h = threshold_params(n, p.m).h
-    lmin, lmax = np.array(rows).T[:2]
+    lmin, lmax = np.array(p.rows).T[:2]
     anchors = {
         "ks_min_exp": _ks_distance(lmin * n * h**2, lambda x: -np.expm1(-x)),
         "ks_max_gumbel": _ks_distance(h * lmax - math.log(n * h), lambda x: np.exp(-np.exp(-x))),
@@ -522,23 +510,30 @@ def _judge_block(n: int, p: BlockCensusPoint, rows) -> Verdict:
     return verdict
 
 
+# per point type: its judge, and the law that judges it
+_JUDGES = {
+    CensusPoint: (_judge_component, "finite-n law of C-1: limits.finite_n_mean_cuts, "
+                  "limits.finite_n_cut_law"),
+    BlockCensusPoint: (_judge_block, "finite-n block CDFs at the saddle point: "
+                       "limits.finite_n_block_cdfs"),
+}
+
+
 def judge(report: Report) -> Report:
     """Judge a component or block census against the exact finite-n law
     with the pinned :data:`TOLERANCES`, and return it; a marked or
     monotonicity report is exact and is returned as it is.  Components:
     the mean's gap to ``finite_n_mean_cuts`` and the TV to
     ``finite_n_cut_law`` on at least 30 values.  Blocks: KS bounds to
-    ``finite_n_block_cdfs`` at the saddle point, and the first/last
-    p-value.  Points without a finite-n law are left out of ``passed``."""
-    t0 = time.time()
-    if isinstance(report, ComponentCensusReport):
-        reference = "finite-n law of C-1: limits.finite_n_mean_cuts, limits.finite_n_cut_law"
-        verdicts = [_judge_component(report.n, p) for p in report.points]
-    elif isinstance(report, BlockCensusReport):
-        reference = "finite-n block CDFs at the saddle point: limits.finite_n_block_cdfs"
-        verdicts = [_judge_block(report.n, p, report.raw[p.m]) for p in report.points]
-    else:
+    ``finite_n_block_cdfs`` at the saddle point on the point's own rows,
+    and the first/last p-value.  Points without a finite-n law are left
+    out of ``passed``."""
+    if not isinstance(report, CensusReport):
         return report
+    t0 = time.time()
+    judges = [_JUDGES[type(p)] for p in report.points]
+    verdicts = [judge_point(report.n, p) for (judge_point, _), p in zip(judges, report.points)]
+    reference = "; ".join(dict.fromkeys(ref for _, ref in judges))
     passed = all(all(v.ok.values()) for v in verdicts)
     report.judgement = Judgement(reference, dict(TOLERANCES), verdicts, passed)
     report.wall_seconds += time.time() - t0
@@ -680,20 +675,21 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
 
 def run_census(cfg: ExperimentConfig) -> Report:
     """Measure, :func:`judge`, and write the report as JSON (and a block
-    census's rows as CSV) to ``<out_dir>/<mode>_n<n>_seed<seed>``, n and seed
-    as reported, when cfg names an ``out_dir``: what ``invperm census`` does."""
+    census's rows as CSV, point by point) to ``<out_dir>/<mode>_n<n>_seed<seed>``,
+    n and seed as reported, when cfg names an ``out_dir``: what ``invperm
+    census`` does."""
     report = judge(RUNNERS[cfg.mode](cfg))
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         stem = os.path.join(cfg.out_dir, f"{cfg.mode}_n{report.n}_seed{report.seed}")
         with open(stem + ".json", "w") as fh:
             fh.write(report.to_json(deterministic=False))
-        if isinstance(report, BlockCensusReport):
+        if cfg.mode == "blocks":
             with open(stem + ".csv", "w") as fh:
                 fh.write("m,trial,l_min,l_max,l_first,l_last\n")
-                for m, rows in report.raw.items():
-                    for trial, row in enumerate(rows):
-                        fh.write(f"{m},{trial}," + ",".join(map(str, row)) + "\n")
+                for p in report.points:
+                    for trial, row in enumerate(p.rows):
+                        fh.write(f"{p.m},{trial}," + ",".join(map(str, row)) + "\n")
     return report
 
 

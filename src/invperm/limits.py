@@ -118,8 +118,8 @@ def alpha_for_mu(n: int, mu: float) -> tuple[float, int]:
     """Edge density alpha and edge count m hitting Poisson mean ~ e^-mu.
 
     alpha = (6/pi^2) (log n + (1/2) log log n + (1/2) log(12/pi)
-            - pi^2/12 + mu); m = round(alpha*n) clamped to the band where
-    the outcome is not forced.
+            - pi^2/12 + mu); m = round(alpha*n), alpha*n clamped first to the
+    band where the outcome is not forced (so a huge |mu| cannot overflow).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -133,8 +133,7 @@ def alpha_for_mu(n: int, mu: float) -> tuple[float, int]:
         - math.pi**2 / 12.0
         + mu
     )
-    m = round(alpha * n)
-    m = max(n - 1, min(m, max_inversions(n - 1)))
+    m = round(max(n - 1, min(alpha * n, max_inversions(n - 1))))
     return alpha, m
 
 

@@ -296,7 +296,7 @@ def block_census():
 
 def test_criterion_7_block_size_limits(block_census):
     p, v = block_census.points[0], block_census.judgement.points[0]
-    lmin = np.array(block_census.raw[p.m])[:, 0]
+    lmin = np.array(p.rows)[:, 0]
     # the saddle point only, as judge uses: tests/test_limits.py bounds what that drops
     (ref_min_1,), _ = finite_n_block_cdfs(N_DESK, p.m, [1], [], contour=False)
     detail = (

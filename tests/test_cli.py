@@ -104,6 +104,13 @@ def test_invseq_both_directions(capsys):
     assert code == 0 and out.strip() == "2,3,1,7,6,4,9,8,5"
 
 
+def test_invseq_refuses_empty_input_in_both_directions(capsys):
+    for flag, message in (("--from-perm", "empty permutation"), ("--to-perm", "empty inversion")):
+        code, out, err = run_cli(capsys, "invseq", flag, "")
+        assert code == 2 and out == ""
+        assert err.startswith(f"invperm invseq: {message}") and "Traceback" not in err
+
+
 def test_sample_deterministic_and_formats(capsys):
     args = ("sample", "--n", "8", "--m", "9", "--count", "3", "--seed", "4")
     code, out1, _ = run_cli(capsys, *args)
@@ -239,6 +246,30 @@ def _strict_json(text):
         raise ValueError(f"{token} is not JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def test_params_refuses_both_m_and_mu(capsys):
+    code, out, err = run_cli(capsys, "params", "--n", "50", "--m", "10", "--mu", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("invperm params: ") and "--m" in err and "--mu" in err
+
+
+@pytest.mark.parametrize("mu,m", [("1e308", 999 * 998 // 2), ("-1e308", 999)])
+def test_huge_mu_clamps_to_the_band(mu, m, capsys):
+    """alpha * n overflows a float at |mu| = 1e308; m clamps as at |mu| = 50.
+    The census at C(n-1, 2) has no finite-n law and exits 0; at n - 1 three
+    trials are judged, and the exit code is their verdict."""
+    code, out, err = run_cli(capsys, "params", "--n", "1000", f"--mu={mu}")
+    assert code == 0 and err == ""
+    assert _strict_json(out)["m"] == m
+    code, out, err = run_cli(
+        capsys, "census", "--n", "1000", "--mode", "components", f"--mu={mu}", "--trials", "3"
+    )
+    judgement = _strict_json(out)["judgement"]
+    assert err == "" and code == (0 if judgement["passed"] else 1)
+    assert [p["m"] for p in judgement["points"]] == [m]
+    if mu == "1e308":
+        assert code == 0 and "2m > C(n,2)" in judgement["points"][0]["unjudged"]
 
 
 def test_params_near_q_one_returns_at_once(capsys):

@@ -22,9 +22,8 @@ from invperm.coupling import BetaTable, run_chain
 from invperm.experiments import (
     RUNNERS,
     BlockCensusPoint,
-    BlockCensusReport,
     CensusPoint,
-    ComponentCensusReport,
+    CensusReport,
     ExperimentConfig,
     indecomposable_counts,
     judge,
@@ -141,7 +140,7 @@ def test_block_census_statistics_equal_scipy():
     report = judge(run_block_census(cfg))
     for point, verdict in zip(report.points, report.judgement.points):
         h = threshold_params(cfg.n, point.m).h
-        lmin, lmax, lfirst, llast = np.array(report.raw[point.m], dtype=float).T
+        lmin, lmax, lfirst, llast = np.array(point.rows, dtype=float).T
         u = lmin * cfg.n * h**2
         v = h * lmax - math.log(cfg.n * h)
         exp, gumbel = stats.kstest(u, "expon"), stats.kstest(v, "gumbel_r")
@@ -168,7 +167,7 @@ def test_judge_against_a_hand_counted_law():
     values = np.repeat(list(hist), list(hist.values()))
     stderr = float(values.std(ddof=1)) / math.sqrt(len(values))
     point = CensusPoint(None, m, "threshold", hist, float(values.mean()), stderr, None)
-    report = judge(ComponentCensusReport(n=n, trials=100, seed=0, points=[point]))
+    report = judge(CensusReport(n=n, trials=100, seed=0, points=[point]))
     (verdict,) = report.judgement.points
     exact_mean = F(43 + 2 * 3, 90)
     exact_tv = sum(abs(F(hist.get(k, 0), 100) - F(law[k], 90)) for k in range(4)) / 2
@@ -202,8 +201,8 @@ def test_judge_ks_bound_covers_the_brute_force_sup(monkeypatch):
         lmin = rng.geometric(0.04, size).clip(1, n)
         lmax = rng.integers(lmin, n + 1)
         rows = [(a, b, a, b) for a, b in zip(lmin.tolist(), lmax.tolist())]
-        point = BlockCensusPoint(None, m, 0.5, float(lmin.mean()), float(lmax.mean()), None)
-        report = BlockCensusReport(n=n, trials=size, seed=0, points=[point], raw={m: rows})
+        point = BlockCensusPoint(None, m, 0.5, float(lmin.mean()), float(lmax.mean()), None, rows)
+        report = CensusReport(n=n, trials=size, seed=0, points=[point])
         (verdict,) = judge(report).judgement.points
         for name, sample, cdf in (("ks_min", lmin, r_min), ("ks_max", lmax, r_max)):
             brute = max(abs(np.mean(sample <= t) - cdf[t]) for t in ts)
@@ -457,7 +456,7 @@ def test_block_census_small_run():
     )
     report = judge(run_block_census(cfg))
     point = report.points[0]
-    rows = report.raw[point.m]
+    rows = point.rows
     assert len(rows) == 120
     for lmin, lmax, lfirst, llast in rows:
         assert 1 <= lmin <= lmax <= 4000
@@ -487,7 +486,29 @@ def test_block_census_parallel_merge_is_byte_identical():
 
     serial, parallel = run_block_census(cfg(1)), run_block_census(cfg(2))
     assert serial.to_json() == parallel.to_json()
-    assert serial.raw == parallel.raw
+    assert [p.rows for p in serial.points] == [p.rows for p in parallel.points]
+
+
+def test_block_census_repeated_point_keeps_its_own_rows_and_verdict(tmp_path):
+    """Two points with one m are two censuses on different streams: each
+    keeps its own rows, is judged on them as it would be alone, and writes
+    them to the CSV in point order."""
+    trials = 20
+    cfg = ExperimentConfig(
+        n=2000, mode="blocks", trials=trials, seed=3, mu_list=[-3.0, -3.0], out_dir=str(tmp_path)
+    )
+    report = run_census(cfg)
+    first, second = report.points
+    assert first.m == second.m and first.rows != second.rows
+    for point, verdict in zip(report.points, report.judgement.points):
+        assert len(point.rows) == trials
+        assert point.max_mean == pytest.approx(np.mean([row[1] for row in point.rows]))
+        alone = judge(CensusReport(n=cfg.n, trials=trials, seed=cfg.seed, points=[point]))
+        assert alone.judgement.points == [verdict]
+    lines = (tmp_path / "blocks_n2000_seed3.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * trials
+    written = [tuple(map(int, line.split(",")[2:])) for line in lines[1:]]
+    assert written == first.rows + second.rows
 
 
 def test_marked_census_runs_and_inclusion_holds():

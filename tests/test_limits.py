@@ -163,6 +163,9 @@ def test_alpha_for_mu_formula_and_monotonicity():
 def test_alpha_for_mu_clamps_to_band():
     assert alpha_for_mu(5, -50.0)[1] == 4  # n - 1
     assert alpha_for_mu(5, 50.0)[1] == max_inversions(4)
+    # alpha * n overflows a float here; it is clamped before rounding
+    assert alpha_for_mu(5, -1e308)[1] == 4
+    assert alpha_for_mu(5, 1e308)[1] == max_inversions(4)
 
 
 def test_threshold_ratio_approaches_six_over_pi_squared():

@@ -8,6 +8,7 @@ otherwise surface only as an error in a benchmark run.
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,26 @@ def test_every_workload_runs_one_round_and_passes_its_checks(perfbench, tmp_path
         done = workload.tasks(run, workload.setup(), tracing.NULL)
         assert done and all(ops > 0 for ops, _ in done), name
         assert run.tally.attempted > 0 and run.tally.failed == 0, (name, run.tally.failures)
+
+
+def test_traced_census_pass_records_every_layer(perfbench, tmp_path):
+    """One traced pass of the census workload records a span for each call
+    of every hook the census path reaches: 3 census calls, each with one
+    sampler set-up and one parameter lookup, and 100 trials with one draw
+    and one decomposition each.  A hook bound locally in ``src/`` would skip
+    its wrapper and leave its layer metric at zero."""
+    workloads, tracing = perfbench["workloads"], perfbench["tracing"]
+    workload = workloads.WORKLOADS["census-n1e5"]
+    tracer = tracing.Tracer()
+    run = workloads.Run(seed=0, seconds=0.0, tracer=tracer, workdir=tmp_path)
+    state = workload.setup()
+    with tracer.installed():
+        workload.tasks(run, state, tracer)
+    assert run.tally.failed == 0, run.tally.failures
+    counts = Counter(name for name, *_ in tracer.all_spans())
+    calls = len(workloads.CENSUS_MU)
+    trials = calls * workloads.CENSUS_TRIALS
+    assert [counts[name] for name in ("census", "worker_init", "params", "decomp")] == [
+        calls, calls, calls, trials
+    ]
+    assert min(counts[name] for name in ("sample", "tail", "walk")) >= trials
