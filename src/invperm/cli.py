@@ -253,8 +253,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_mu(argv: list[str]) -> list[str]:
+    """``--mu -1e2`` as ``--mu=-1e2``: argparse takes a token that starts
+    with '-' for an option unless it is a plain negative number, so a
+    negative mu with an exponent would otherwise read as a missing value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--mu" and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--mu={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_mu(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -296,32 +297,33 @@ class SamplerStats:
 
 
 # The trials' sampler and stream keys: set once per worker process, or
-# in-process for the length of one ``_run_trials`` call.
-_WORKER: dict = {}
+# in-process for the length of one ``_run_trials`` call, per thread, so
+# censuses run from several threads at once keep their own.
+_WORKER = threading.local()
 
 
 def _worker_init(n: int, m: int, seed: int, key: int) -> None:
     t0 = time.perf_counter()
-    _WORKER["sampler"] = SplitSampler(n, m)
-    _WORKER["build_s"] = time.perf_counter() - t0
-    _WORKER["seed"] = seed
-    _WORKER["key"] = key
+    _WORKER.sampler = SplitSampler(n, m)
+    _WORKER.build_s = time.perf_counter() - t0
+    _WORKER.seed = seed
+    _WORKER.key = key
 
 
 def _trial_chunk(trial_range: tuple[int, int]):
     """Per trial: the block count and the smallest, largest, first and last
     block size (a summary, not the sizes, which number up to n per trial);
     and the sampler's head size, restarts in the chunk and build time."""
-    sampler: SplitSampler = _WORKER["sampler"]
+    sampler: SplitSampler = _WORKER.sampler
     restarts = sampler.restarts
     out = []
     for trial in range(*trial_range):
-        ctx = SamplerContext(None, _WORKER["seed"], (_WORKER["key"], trial))
+        ctx = SamplerContext(None, _WORKER.seed, (_WORKER.key, trial))
         sizes = np.diff([0, *decomposition_points(sampler.sample(ctx)), sampler.n])
         out.append(
             (len(sizes), int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
         )
-    return out, (sampler.head_size, sampler.restarts - restarts, _WORKER["build_s"])
+    return out, (sampler.head_size, sampler.restarts - restarts, _WORKER.build_s)
 
 
 def _run_trials(cfg: ExperimentConfig, m: int, key: int):
@@ -336,7 +338,7 @@ def _run_trials(cfg: ExperimentConfig, m: int, key: int):
             _worker_init(cfg.n, m, cfg.seed, key)
             chunks = [_trial_chunk(r) for r in ranges]
         finally:
-            _WORKER.clear()
+            vars(_WORKER).clear()
     else:
         # imported here so an in-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -160,13 +160,13 @@ def sample_composition(
 def default_head_size(n: int, m: int) -> int:
     """Head length for the split sampler.
 
-    Chosen so a tail coordinate exceeds its bound with probability about
-    1e-2 per draw or less: coordinates look geometric with ratio
-    q = alpha/(alpha+1), so q^c/(1-q) <= 1e-2 needs
-    c >= (alpha+1) * (log(alpha+1) + log 100), padded a little.
+    The smallest c with q^c/(1-q) <= 1e-2, where q = alpha/(alpha+1) and
+    alpha = m/n: tail coordinates look geometric with ratio q, so a tail
+    breaks a bound in about one draw in a hundred or fewer.  That is
+    c >= log(100 (alpha+1)) / log(1 + 1/alpha), with no padding; the head
+    is at least 16 long and at most n - 1.
     """
-    alpha = m / n
-    c = int((alpha + 1.0) * (np.log(alpha + 1.0) + np.log(100.0))) + 8
+    c = 0 if m == 0 else math.ceil(math.log(100.0 * (1.0 + m / n)) / math.log1p(n / m))
     return min(max(16, c), n - 1)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from invperm.cli import main
 from invperm.experiments import run_monotonicity_check
+from invperm.limits import alpha_for_mu
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +271,28 @@ def test_huge_mu_clamps_to_the_band(mu, m, capsys):
     assert [p["m"] for p in judgement["points"]] == [m]
     if mu == "1e308":
         assert code == 0 and "2m > C(n,2)" in judgement["points"][0]["unjudged"]
+
+
+def test_params_reads_a_negative_mu_with_an_exponent(capsys):
+    """``--mu -1e2`` is read as ``--mu=-1e2``, not as a missing value."""
+    joined = run_cli(capsys, "params", "--n", "1000", "--mu=-1e2")
+    assert joined[0] == 0 and _strict_json(joined[1])["m"] == 999
+    assert run_cli(capsys, "params", "--n", "1000", "--mu", "-1e2") == joined
+
+
+def test_census_reads_a_negative_mu_with_an_exponent(capsys):
+    """Each ``--mu -3e0`` and ``--mu -2.5e0`` is read as its own point;
+    a value that is no number still exits 2 from argparse."""
+    argv = ["census", "--n", "2000", "--mode", "components", "--trials", "3"]
+    code, out, err = run_cli(capsys, *argv, "--mu", "-3e0", "--mu", "-2.5e0")
+    judgement = _strict_json(out)["judgement"]
+    assert err == "" and code == (0 if judgement["passed"] else 1)
+    assert [p["m"] for p in judgement["points"]] == [
+        alpha_for_mu(2000, mu)[1] for mu in (-3.0, -2.5)
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--mu", "-x"])
+    assert exc.value.code == 2 and "--mu: expected one argument" in capsys.readouterr().err
 
 
 def test_params_near_q_one_returns_at_once(capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from collections import Counter
@@ -304,6 +305,33 @@ def test_component_census_determinism_and_parallel_merge():
     assert r1.to_json() == r3.to_json()
 
 
+def test_threaded_censuses_keep_their_own_worker_state(monkeypatch):
+    """Two in-process censuses run from two threads at once each give the
+    JSON of their serial run: the trials' sampler and stream keys are per
+    thread.  Both threads build their samplers before either draws."""
+    cfgs = [_component_cfg(n=3000, trials=60, m_list=[m], seed=3) for m in (9000, 14000)]
+    serial = [run_component_census(cfg).to_json() for cfg in cfgs]
+    both_built = threading.Barrier(2, timeout=60)
+    init = experiments._worker_init
+
+    def init_then_wait(*args):
+        init(*args)
+        both_built.wait()
+
+    monkeypatch.setattr(experiments, "_worker_init", init_then_wait)
+    threaded = [None, None]
+
+    def run(i):
+        threaded[i] = run_component_census(cfgs[i]).to_json()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert threaded == serial
+
+
 def test_census_outputs_pinned():
     """The deterministic JSON of a component, a block and a marked census,
     unjudged, joined with no separator: any change to the sampler, the
@@ -320,7 +348,7 @@ def test_census_outputs_pinned():
         for mode, n, trials, mus in runs
     )
     assert hashlib.sha256(payload.encode()).hexdigest() == (
-        "d50aca4f0ec00e6d8d24d46cabeb828258fd6afa64763ed1137cceaa906f757b"
+        "1a7d87131d8b3034afb3a100a879e836a132311cd911810b8f21b2856c4121e9"
     )
 
 

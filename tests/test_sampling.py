@@ -19,6 +19,7 @@ from scipy import stats
 from invperm import counting
 from invperm.counting import build_table, max_inversions, table_cells
 from invperm.coupling import enumerate_inversion_sequences
+from invperm.limits import alpha_for_mu
 from invperm.permutations import decomposition_points
 from invperm import sampling
 from invperm.rng import SamplerContext
@@ -493,18 +494,20 @@ def test_weight_cumsums_match_product_form(n, m, head):
 
 
 def test_head_sum_exact_around_every_prefix_sum_at_census_size():
-    """At n = 10^5, mu = 0 (46 blocks, factors of about 41 kbit), u - 1, u
-    and u + 1 at every prefix sum, block starts among them, and random u
-    all go to bisect_right over the full-width prefix sums."""
-    sampler = SplitSampler(100_000, 764_911)
-    assert len(sampler._blocks) > 40
-    cums = _product_form_cumsums(sampler)
-    assert _block_form_cumsums(sampler) == cums
-    probe = SamplerContext(None, 32)
-    us = [probe.uniform_below(cums[-1]) for _ in range(200)]
-    us += [c + d for c in cums[:-1] for d in (-1, 0, 1)]
-    for u in us:
-        assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+    """At n = 10^5, mu = 0, with the default head (56: 39 blocks, factors
+    of about 30 kbit) and a longer one (66: 46 blocks, about 41 kbit),
+    u - 1, u and u + 1 at every prefix sum, block starts among them, and
+    random u all go to bisect_right over the full-width prefix sums."""
+    for head, blocks in [(None, 39), (66, 46)]:
+        sampler = SplitSampler(100_000, 764_911, head_size=head)
+        assert len(sampler._blocks) == blocks
+        cums = _product_form_cumsums(sampler)
+        assert _block_form_cumsums(sampler) == cums
+        probe = SamplerContext(None, 32)
+        us = [probe.uniform_below(cums[-1]) for _ in range(200)]
+        us += [c + d for c in cums[:-1] for d in (-1, 0, 1)]
+        for u in us:
+            assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
 
 
 @pytest.mark.parametrize("m", [704_118, 764_911, 825_704])
@@ -692,7 +695,7 @@ def test_split_draws_pinned():
             raw = int(caller.generator.bit_generator.random_raw())
             digest.update(raw.to_bytes(8, "little"))
     assert digest.hexdigest() == (
-        "8dc8ab88d68578c8d8169ac1d2229a046073b2580fe133a3d6439abdeac35104"
+        "2efc239f4f07bbf696700a4fc6e20023e32681a18525bb8058c59e37e096b034"
     )
 
 
@@ -842,8 +845,23 @@ def test_split_sampler_large_n_invariants():
 
 
 def test_default_head_size_bounds():
-    assert 16 <= default_head_size(100_000, 764_911) < 100
+    """The default head is the smallest c with q^c/(1-q) <= 1e-2, where
+    q = alpha/(alpha+1) = m/(m+n), checked in integers as
+    100 m^c (m+n) <= n (m+n)^c: it holds at c unless c sits on the n-1 cap,
+    and fails at c-1 unless c sits on the floor, 16 or n-1 if less."""
+    def meets(n, m, c):
+        return 100 * m**c * (m + n) <= n * (m + n) ** c
+
+    grid = [(n, alpha_for_mu(n, mu)[1]) for n in (100, 10**3, 10**5, 10**6, 10**7)
+            for mu in range(-3, 4)]
+    for n, m in [*grid, (30, 200), (10, 3)]:  # the last two clamped to n-1
+        c = default_head_size(n, m)
+        assert min(16, n - 1) <= c <= n - 1
+        assert c == n - 1 or meets(n, m, c), (n, m, c)
+        assert c == min(16, n - 1) or not meets(n, m, c - 1), (n, m, c)
+    assert [default_head_size(10**5, m) for m in (704_118, 764_911, 825_704)] == [51, 56, 60]
     assert default_head_size(10, 3) == 9  # clamped to n-1
+    assert default_head_size(1000, 0) == 16
 
 
 def test_live_split_samplers_share_one_head_table(monkeypatch):
