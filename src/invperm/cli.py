@@ -6,13 +6,15 @@ on bad input: :func:`main` turns a ``ValueError`` or an ``OSError`` into
 one ``invperm <command>: <message>`` line on stderr.  ``count --table``
 also exits with 2 on an unreadable cache, and ``chain`` for n above
 ``CHAIN_MAX_N``, before it builds its count table.  ``census`` exits with 1
-when its report, judged by ``experiments.judge``, has not passed.
+when its report, judged by ``experiments.judge``, has not passed.  Writing
+into a closed stdout (``... | head -1``) exits quietly with 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -274,7 +276,12 @@ def _join_negative_mu(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_join_negative_mu(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:  # stdout's reader is gone: exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a silent exit flush
+        return 141
     except (ValueError, OSError) as exc:
         print(f"invperm {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -136,6 +136,8 @@ class ExperimentConfig:
                         f"got m={m}" + ("" if mu is None else f" from mu={mu}")
                     )
         if self.mode == "marked":
+            if self.parallelism != 1:
+                raise ValueError(f"marked mode runs serially; drop parallelism={self.parallelism}")
             points = self.resolved_points()
             for _, m in points:
                 nu = threshold_params(self.n, m).nu
@@ -677,9 +679,9 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
 
 def run_census(cfg: ExperimentConfig) -> Report:
     """Measure, :func:`judge`, and write the report as JSON (and a block
-    census's rows as CSV, point by point) to ``<out_dir>/<mode>_n<n>_seed<seed>``,
-    n and seed as reported, when cfg names an ``out_dir``: what ``invperm
-    census`` does."""
+    census's rows as CSV, each under its point's index) to
+    ``<out_dir>/<mode>_n<n>_seed<seed>``, n and seed as reported, when cfg
+    names an ``out_dir``: what ``invperm census`` does."""
     report = judge(RUNNERS[cfg.mode](cfg))
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -688,10 +690,10 @@ def run_census(cfg: ExperimentConfig) -> Report:
             fh.write(report.to_json(deterministic=False))
         if cfg.mode == "blocks":
             with open(stem + ".csv", "w") as fh:
-                fh.write("m,trial,l_min,l_max,l_first,l_last\n")
-                for p in report.points:
+                fh.write("point,m,trial,l_min,l_max,l_first,l_last\n")
+                for key, p in enumerate(report.points):
                     for trial, row in enumerate(p.rows):
-                        fh.write(f"{p.m},{trial}," + ",".join(map(str, row)) + "\n")
+                        fh.write(f"{key},{p.m},{trial}," + ",".join(map(str, row)) + "\n")
     return report
 
 

@@ -183,17 +183,16 @@ class SplitSampler:
 
         W(a) = s(c, a) * prod_{j<a}(m-j) * prod_{a<=j<a_max}(m-j+K-1),
 
-    and a draw takes a uniform u below sum W and returns the number of
-    prefix sums of W at most u, so no giant factorial is ever formed.
-    The prefix sums are kept block-factored.  The head sums are cut into
-    blocks a0 <= a < a1 of about sqrt(a_max); inside one, every W(a) is
-    the block's big factor
+    so no giant factorial is ever formed.  The head sums are cut into
+    blocks a0 <= a < a1 of about sqrt(a_max); inside one, every W(a) is the
+    block's big factor
 
         P = prod_{j<a0}(m-j) * prod_{a1-1<=j<a_max}(m-j+K-1)
 
-    times a short local integer.  A block stores P, the exact prefix sum
-    before it and its short local prefix sums, which together imply every
-    full-width prefix sum exactly, in about 1/sqrt(a_max) of their space.
+    times a short local weight.  A draw picks block b by an exact uniform
+    u below sum W, then a by an exact uniform v below the block's local
+    total acc_b; P cancels from (P * acc_b / sum W) * (local(a) / acc_b),
+    so a block keeps only a0 and its local prefix sums.
 
     A tail is kept iff each x_{c+i} <= c+i-1; the bounds rise from c, so
     only the parts before index max(tail) - c are checked, against no
@@ -248,8 +247,8 @@ class SplitSampler:
         _scratch_array("mask", slots, bool)  # grown here, not mid-draw: fewer page faults
 
     def _weight_blocks(self, a_max: int, m: int, parts: int):
-        """Per block, the exact prefix sum before it, and (a0, P, local
-        prefix sums); and sum W."""
+        """Per block, the exact sum of W before it, and (a0, local prefix
+        sums); and sum W."""
         # Block [a0, a1) has big factor P (see the class docstring) and
         # local weights W(a) / P = s(c, a) * L(a), where
         #   L(a) = prod_{a0<=j<a}(m-j) * prod_{a<=j<a1-1}(m-j+K-1),
@@ -275,29 +274,19 @@ class SplitSampler:
                 if a < a1 - 1:
                     local = local // down[a] * up[a]
             bases.append(base)
-            blocks.append((a0, factor, sums))
+            blocks.append((a0, sums))
             base += factor * acc
             if after is not None:
                 factor = factor // math.prod(down[a1 - 1 : after - 1]) * math.prod(up[a0:a1])
             a0 = a1
         return bases, blocks, base
 
-    def _head_sum(self, u: int) -> int:
-        """The number of prefix sums of W at most u, for 0 <= u < sum W."""
-        b = bisect.bisect_right(self._bases, u) - 1
-        a0, factor, sums = self._blocks[b]
-        # base + P * s <= u  iff  s <= (u - base) // P.  With top and f the
-        # two cut short by the same low bits, top // (f + 1) and
-        # (top + 1) // f bound that quotient; when both fall between the
-        # same two local sums, so does it, and otherwise the division decides
-        rest = u - self._bases[b]
-        shift = factor.bit_length() - sums[-1].bit_length() - 64
-        if shift > 0:
-            top, f = rest >> shift, factor >> shift
-            i = bisect.bisect_right(sums, top // (f + 1))
-            if i == bisect.bisect_right(sums, (top + 1) // f):
-                return a0 + i
-        return a0 + bisect.bisect_right(sums, rest // factor)
+    def _head_sum(self, ctx: SamplerContext) -> int:
+        """A head sum a drawn with probability W(a) / sum W: a block by its
+        total, then a by its local weight in the block."""
+        b = bisect.bisect_right(self._bases, ctx.uniform_below(self._total)) - 1
+        a0, sums = self._blocks[b]
+        return a0 + bisect.bisect_right(sums, ctx.uniform_below(sums[-1]))
 
     def sample(self, ctx: SamplerContext) -> np.ndarray:
         """One exactly uniform inversion sequence, as an int64 array."""
@@ -307,7 +296,7 @@ class SplitSampler:
         # a reused tail keeps a draw's other arrays in allocator-held memory
         out = _scratch_array("parts", self._tail_parts, np.int64)[: self._tail_parts]
         for _ in range(MAX_RESTARTS + 1):
-            a = self._head_sum(ctx.uniform_below(self._total))
+            a = self._head_sum(ctx)
             head = sample_inversion_sequence(c, a, head_ctx)
             tail = sample_composition(self._tail_parts, mw - a, ctx, out)
             # part i (0-based) is bounded by c + i, so only the parts before

@@ -476,6 +476,16 @@ def test_census_marked_with_two_points_exits_2(capsys):
     assert err == "invperm census: marked mode takes one point (one --mu or --m); got 2\n"
 
 
+def test_census_marked_refuses_parallelism_it_ignores(capsys):
+    """The marked census runs serially, so a parallelism other than
+    1 is refused by name rather than reported as if it ran."""
+    code, out, err = run_cli(
+        capsys, "census", "--n", "20000", "--mode", "marked", "--mu", "-2", "--parallelism", "2"
+    )
+    assert code == 2 and out == ""
+    assert err == "invperm census: marked mode runs serially; drop parallelism=2\n"
+
+
 def test_census_config_with_head_size_exits_2(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     cfg = {"n": 60, "mode": "components", "m_list": [100], "head_size": 4}
@@ -541,18 +551,39 @@ def test_census_monotonicity_refuses_the_fields_it_ignores(capsys, tmp_path):
 def test_runtime_imports_no_scipy():
     """The package and its CLI load numpy alone: scipy is a test-only
     dependency."""
-    import invperm
-
-    src = str(Path(invperm.__file__).resolve().parents[1])
     code = (
         "import sys, invperm, invperm.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def _src_env():
+    """The environment with this checkout's invperm first on the path."""
+    import invperm
+
+    src = str(Path(invperm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_census_into_a_closed_pipe_exits_141_quietly():
+    """A reader that closes stdout before the report is printed
+    (``invperm census ... | head -1``) is no bad input: the CLI writes
+    nothing to stderr and exits with 141 (128 + SIGPIPE), not 2."""
+    code = "import sys; from invperm.cli import main; sys.exit(main())"
+    argv = "census --n 200 --mode components --mu 0 --trials 5".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        env=_src_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # long before the child has imported numpy
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141 and err == b""
 
 
 @pytest.mark.parametrize(

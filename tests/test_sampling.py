@@ -3,7 +3,6 @@ import gc
 import hashlib
 import itertools
 import math
-import random
 import sys
 import threading
 import tracemalloc
@@ -149,7 +148,7 @@ def test_walk_is_a_bijection_from_one_draw(n):
 
 def test_one_uniform_draw_per_walk(monkeypatch):
     """A walker draw makes one ``uniform_below`` call; a split-sampler
-    draw makes two per proposal (head sum, head walk)."""
+    draw makes three per proposal (block, head sum in it, head walk)."""
     calls = []
     uniform_below = SamplerContext.uniform_below
 
@@ -169,7 +168,7 @@ def test_one_uniform_draw_per_walk(monkeypatch):
         SPLIT60.sample(SamplerContext(None, 6, (t,)))
         proposals = 1 + SPLIT60.restarts - before
         accepted += proposals == 1
-        assert len(calls) == 2 * proposals
+        assert len(calls) == 3 * proposals
     assert accepted
 
 
@@ -453,14 +452,61 @@ def _product_form_cumsums(sampler):
     return cums
 
 
-def _block_form_cumsums(sampler):
-    """Every prefix sum the stored blocks imply: the exact sum before a
-    block plus its big factor times each of its local sums."""
-    return [
-        base + factor * local
-        for base, (_, factor, sums) in zip(sampler._bases, sampler._blocks)
-        for local in sums
-    ]
+class _Scripted:
+    """A context whose ``uniform_below`` returns the given values in turn,
+    each checked to lie below its bound, and records those bounds."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.bounds = []
+
+    def uniform_below(self, bound):
+        value = self.values.pop(0)
+        assert 0 <= value < bound
+        self.bounds.append(bound)
+        return value
+
+
+def _check_two_stage_head_sum(sampler, every_u=False):
+    """The two-stage draw has the law W(a) / sum W, W from the product form.
+
+    Data: the blocks tile 0..a_max in order and, with T_b the block's
+    share of sum W and acc_b its local total, T_b * local(a) = W(a) * acc_b
+    for every a in block b, so (T_b / sum W) * (local(a) / acc_b) =
+    W(a) / sum W.  Lookup: u - 1, u and u + 1 at every block base (every u
+    when ``every_u``) reach the block whose range of W holds u, and v at 0,
+    at acc_b - 1 and at each local prefix sum and one below it reach the a
+    whose local prefix sums hold v, both drawn below the bounds the law
+    needs."""
+    cums = _product_form_cumsums(sampler)
+    weights = [hi - lo for lo, hi in zip([0, *cums], cums)]
+    total = sampler._total
+    assert total == cums[-1] and sampler._bases[0] == 0
+    ends = [*sampler._bases[1:], total]
+    a = 0
+    for base, end, (a0, sums) in zip(sampler._bases, ends, sampler._blocks):
+        assert a0 == a and len(sums) >= 1
+        for local in (hi - lo for lo, hi in zip([0, *sums], sums)):
+            assert (end - base) * local == weights[a] * sums[-1]
+            a += 1
+    assert a == len(cums)
+
+    def block_of(u):
+        return sum(base <= u for base in sampler._bases) - 1
+
+    us = range(total) if every_u else {
+        u for base in [*sampler._bases, total] for u in (base - 1, base, base + 1)
+        if 0 <= u < total
+    }
+    for u in us:
+        b = block_of(u)
+        a0, sums = sampler._blocks[b]
+        draw = _Scripted(u, 0)
+        assert sampler._head_sum(draw) == a0 and draw.bounds == [total, sums[-1]]
+    for base, (a0, sums) in zip(sampler._bases, sampler._blocks):
+        vs = {0, sums[-1] - 1} | {s + d for s in sums[:-1] for d in (-1, 0)}
+        for v in vs:
+            assert sampler._head_sum(_Scripted(base, v)) == a0 + bisect.bisect_right(sums, v)
 
 
 @pytest.mark.parametrize(
@@ -478,60 +524,27 @@ def _block_form_cumsums(sampler):
     ],
 )
 def test_weight_cumsums_match_product_form(n, m, head):
-    """The block form implies the product form's prefix sums, and a draw u
-    goes to bisect_right over them: every u when the total is small,
-    otherwise both ends and u - 1, u, u + 1 at every prefix sum."""
+    """The stored blocks give each head sum its product-form weight's share
+    of sum W, and the lookup reaches it: every u when sum W is small,
+    otherwise u - 1, u and u + 1 at every block base."""
     sampler = SplitSampler(n, m, head_size=head)
-    cums = _product_form_cumsums(sampler)
-    assert _block_form_cumsums(sampler) == cums
-    assert sampler._total == cums[-1]
-    if cums[-1] <= 20_000:
-        us = range(cums[-1])
-    else:
-        us = {0, cums[-1] - 1} | {c + d for c in cums[:-1] for d in (-1, 0, 1)}
-    for u in us:
-        assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
+    _check_two_stage_head_sum(sampler, every_u=sampler._total <= 20_000)
 
 
 def test_head_sum_exact_around_every_prefix_sum_at_census_size():
-    """At n = 10^5, mu = 0, with the default head (56: 39 blocks, factors
-    of about 30 kbit) and a longer one (66: 46 blocks, about 41 kbit),
-    u - 1, u and u + 1 at every prefix sum, block starts among them, and
-    random u all go to bisect_right over the full-width prefix sums."""
-    for head, blocks in [(None, 39), (66, 46)]:
-        sampler = SplitSampler(100_000, 764_911, head_size=head)
+    """At n = 10^5, mu = -1, 0, 1 with the default heads (51, 56, 60), and
+    at mu = 0 with a longer head (66), block factors of about 30 to 41 kbit
+    cancel exactly from the two-stage law, and u - 1, u and u + 1 at every
+    block base reach the right block."""
+    for m, head, blocks in [
+        (704_118, None, 36),
+        (764_911, None, 39),
+        (764_911, 66, 46),
+        (825_704, None, 42),
+    ]:
+        sampler = SplitSampler(100_000, m, head_size=head)
         assert len(sampler._blocks) == blocks
-        cums = _product_form_cumsums(sampler)
-        assert _block_form_cumsums(sampler) == cums
-        probe = SamplerContext(None, 32)
-        us = [probe.uniform_below(cums[-1]) for _ in range(200)]
-        us += [c + d for c in cums[:-1] for d in (-1, 0, 1)]
-        for u in us:
-            assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
-
-
-@pytest.mark.parametrize("m", [704_118, 764_911, 825_704])
-def test_head_sum_bounds_decide_as_the_exact_division(m):
-    """At n = 10^5, mu = -1, 0, 1, every block base, S(a) - 1 and S(a) at
-    every prefix sum S(a), and 10^4 random u go to bisect_right over the
-    full-width prefix sums.  One below a prefix sum inside a block, that
-    sum lies between the two shifted bounds, so the draw takes the exact
-    division."""
-    sampler = SplitSampler(100_000, m)
-    cums = _block_form_cumsums(sampler)
-    pick = random.Random(m)
-    us = sampler._bases + [c + d for c in cums[:-1] for d in (-1, 0)]
-    us += [pick.randrange(sampler._total) for _ in range(10_000)]
-    for u in us:
-        assert sampler._head_sum(u) == bisect.bisect_right(cums, u)
-    # a forced tie: u = base + P * s - 1, s a local sum but the block's
-    # last, puts s between top // (f + 1) and (top + 1) // f
-    base, (a0, factor, sums) = sampler._bases[3], sampler._blocks[3]
-    u = base + factor * sums[5] - 1
-    shift = factor.bit_length() - sums[-1].bit_length() - 64
-    top, f = (u - base) >> shift, factor >> shift
-    assert shift > 0 and top // (f + 1) < sums[5] <= (top + 1) // f
-    assert sampler._head_sum(u) == a0 + bisect.bisect_right(sums, (u - base) // factor) == a0 + 5
+        _check_two_stage_head_sum(sampler)
 
 
 class _InterruptedGenerator:
@@ -695,7 +708,7 @@ def test_split_draws_pinned():
             raw = int(caller.generator.bit_generator.random_raw())
             digest.update(raw.to_bytes(8, "little"))
     assert digest.hexdigest() == (
-        "2efc239f4f07bbf696700a4fc6e20023e32681a18525bb8058c59e37e096b034"
+        "3dfc2e091e67b80ad6724d84a69f15fd484a0c9b14e626f2b8d536ccf0809999"
     )
 
 
