@@ -24,9 +24,10 @@ with beta_k = 0 for k > min(n-1, m+1).  For a direct budget (2m < C(n,2))
 every d_k in between is positive: C(n,2) - 1 <= 2 C(n-1,2), as
 (n-2)(n-3) >= 0, puts m+1-k within 0..C(n-1,2).  Both
 D's are window sums of row n-1; every count here is read in O(1) from the
-prefix-summed rows n and n-1, each built whole on first use, so a beta is
-an integer pair (numerator, denominator) from a few big-integer products.
-``BetaTable.beta`` is the one beta; the step walk below inlines its formula.
+count rows n and n-1 or their prefix sums, each built whole on first use,
+so a beta is an integer pair (numerator, denominator) from a few
+big-integer products.  ``BetaTable.beta`` is the one beta; the step walk
+below inlines its formula.
 
 A step is one top-down walk over the levels L = n, n-1, ..., 2 with a
 budget b and an orientation.  Forward, the walk adds a ball to x[:L];
@@ -47,6 +48,8 @@ beta_i s(L,b+1)/s(L,b), and otherwise the levels below follow a column of
 rho(L-1, b-i), scaled by 1 - beta_{i+1}; that the two parts add to 1 is
 the beta equation itself.  Each level that can take the ball costs one
 exact integer Bernoulli draw; no Fraction is built on this path.
+``step_walk`` is that walk, one loop that hands each stop to a ``decide``
+callback: ``chain_step`` passes the Bernoulli draw, tests a recorder.
 ``rho_entry``, ``materialize_rho`` and ``symbolic_chain_distributions``
 are the exact rational oracles.
 """
@@ -56,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .counting import InversionTable, max_inversions
 from .permutations import enumerate_inversion_sequences, reflect_sequence
@@ -72,34 +75,36 @@ class BetaSolveError(AssertionError):
 class BetaTable:
     """Closed-form betas over a shared count table.
 
-    Holds one prefix-summed count row per level, built whole on first use
-    and as wide as a beta of that level or the next reads.  It does not
-    modify the table, which may gain rows while it lives (as the head table
-    that live ``SplitSampler``s share does); their levels are then read
-    like the others.  Safe for concurrent readers with per-thread instances.
+    Holds, per level, one row of counts and its prefix sums, built whole on
+    first use and as wide as a beta of that level or the next reads.  It
+    does not modify the table, which may gain rows while it lives (as the
+    head table that live ``SplitSampler``s share does); their levels are
+    then read like the others.  Safe for concurrent readers with per-thread
+    instances.
     """
 
     def __init__(self, table: InversionTable):
         self.table = table
         # index = level; extended when a level past its end is first built
-        self._rows: list[list[int] | None] = []
+        self._levels: list[tuple[list[int], list[int]] | None] = []
 
-    def prefix_row(self, level: int) -> list[int]:
-        """Running sums P[k] = s(level, 0) + ... + s(level, k-1) for k up to
-        C(level+1, 2)//2 + 2, or as far as the column cap stores; zero counts
-        pad the row past C(level, 2) only."""
-        row = self._rows[level] if 0 < level < len(self._rows) else None
-        if row is None:
+    def rows(self, level: int) -> tuple[list[int], list[int]]:
+        """The prefix row P and the count row c of ``level``: c[k] =
+        s(level, k) for k below C(level+1, 2)//2 + 2, or as far as the column
+        cap stores, and P[k] = c[0] + ... + c[k-1], one entry longer.  Zero
+        counts pad the rows past C(level, 2) only."""
+        rows = self._levels[level] if 0 < level < len(self._levels) else None
+        if rows is None:
             width = max_inversions(level + 1) // 2 + 2
             if self.table.m_cap is not None:
                 width = min(width, self.table.m_cap + 1)
             last = min(max_inversions(level), width - 1)
-            counts = chain(self.table.counts(level, 0, last), repeat(0))
-            row = list(accumulate(islice(counts, width), initial=0))
+            counts = list(islice(chain(self.table.counts(level, 0, last), repeat(0)), width))
+            rows = list(accumulate(counts, initial=0)), counts
             # the table has checked the level, so the list grows at most to it
-            self._rows += [None] * (level + 1 - len(self._rows))
-            self._rows[level] = row
-        return row
+            self._levels += [None] * (level + 1 - len(self._levels))
+            self._levels[level] = rows
+        return rows
 
     def beta(self, n: int, m: int, i: int) -> tuple[int, int]:
         """beta_i(n, m) as (numerator, denominator) for a direct budget
@@ -110,7 +115,7 @@ class BetaTable:
             raise ValueError(f"budget {m} of level {n} must be reflected")
         if i <= 0 or i > min(n - 1, m + 1):
             return 0, 1
-        here, below = self.prefix_row(n), self.prefix_row(n - 1)
+        here, below = self.rows(n)[0], self.rows(n - 1)[0]
         if m + 2 >= len(below):
             raise ValueError(f"s({n},{m + 1}) not stored (column cap {self.table.m_cap})")
         d_i = below[m + 2 - i] - below[m + 1 - i]
@@ -204,51 +209,61 @@ def initial_state(n: int) -> ChainState:
     return ChainState((0,) * n, 0)
 
 
-def step_stops(
-    x: Sequence[int], t: int, betas: BetaTable
-) -> Iterator[tuple[int, int, int]]:
+def step_walk(
+    x: Sequence[int], t: int, betas: BetaTable, decide: Callable[[int, int], bool]
+) -> int:
     """The top-down walk of one step from x (sum t < C(n,2)).
 
-    Yields (coordinate, num, den) per level that can take the ball: it
-    lands in that 0-based coordinate with probability num/den, given that
-    it passed every level above.  The last level reached has probability 1.
+    Calls decide(num, den) at each level that can take the ball, which
+    lands in that level's last coordinate with probability num/den given
+    that it passed every level above, and returns the 0-based coordinate of
+    the first level whose decide is true.  The last level reached has
+    probability 1.
     """
-    rows = betas._rows
-    below = betas.prefix_row(len(x))
-    b, flipped = t, False
-    for k in range(len(x) - 1, 0, -1):  # level k + 1, its last coordinate x[k]
-        here, below = below, rows[k] or betas.prefix_row(k)
-        total = k * (k + 1) // 2
+    levels = betas._levels
+    n = len(x)
+    here = betas.rows(n)[1]
+    b, flipped, total = t, False, max_inversions(n)
+    # level k + 1, its last coordinate x[k]; total is C(k+1, 2)
+    for k in range(n - 1, 0, -1):
+        prefix, counts = levels[k] or betas.rows(k)
         if 2 * b >= total:
             b = total - 1 - b
             flipped = not flipped
+        total -= k
         # j is the last coordinate as this orientation sees it; the stop is
         # beta_{j+1} forward and beta_j * s(k+1, b+1)/s(k+1, b) flipped
-        j = k - x[k] if flipped else x[k]
-        i = j if flipped else j + 1
+        if flipped:
+            j = i = k - x[k]
+        else:
+            j = x[k]
+            i = j + 1
         if 0 < i <= k and i <= b + 1:
             # row k is never wider than row k + 1, so one check covers both
-            if b + 2 >= len(below):
+            if b + 2 >= len(prefix):
                 raise ValueError(f"s({k + 1},{b + 1}) not stored (column cap {betas.table.m_cap})")
-            # BetaTable.beta inlined; flipped, num/(S d_i) * S/s is num/(d_i s)
-            big, small = here[b + 2] - here[b + 1], here[b + 1] - here[b]
-            num = big * (below[b + 1] - below[b + 1 - i]) - small * (below[b + 2] - below[b + 2 - i])
-            yield k, num, (below[b + 2 - i] - below[b + 1 - i]) * (small if flipped else big)
+            # BetaTable.beta inlined, with D_{b+2} - D_{b+2-i} read as the
+            # window D_{b+1} - D_{b+1-i} shifted by one count at each end;
+            # flipped, num/(S d_i) * S/s is num/(d_i s)
+            big, small, d_i = here[b + 1], here[b], counts[b + 1 - i]
+            window = prefix[b + 1] - prefix[b + 1 - i]
+            num = big * window - small * (window + counts[b + 1] - d_i)
+            if decide(num, d_i * (small if flipped else big)):
+                return k
         b -= j
+        here = counts
+    raise BetaSolveError(f"no level took the ball from {tuple(x)}")
 
 
 def chain_step(
     state: ChainState, betas: BetaTable, ctx: SamplerContext
 ) -> tuple[ChainState, int]:
     """One ball throw; returns the new state and the box index (1-based)."""
-    if state.t >= max_inversions(state.n):
+    x, t = state.x, state.t
+    if t >= max_inversions(len(x)):
         raise ValueError("chain is already at the maximal state")
-    for k, num, den in step_stops(state.x, state.t, betas):
-        if ctx.bernoulli_fraction(num, den):
-            x = list(state.x)
-            x[k] += 1
-            return ChainState(tuple(x), state.t + 1), k + 1
-    raise BetaSolveError(f"no level took the ball from {state.x}")
+    k = step_walk(x, t, betas, ctx.bernoulli_fraction)
+    return ChainState(x[:k] + (x[k] + 1,) + x[k + 1 :], t + 1), k + 1
 
 
 def run_chain(
@@ -263,6 +278,8 @@ def run_chain(
     The resulting state is uniform on the inversion sequences of sum
     m_target; successive states couple all budgets along one trajectory.
     """
+    if n < 1:
+        raise ValueError(f"run_chain needs n >= 1, got {n}")
     if not 0 <= m_target <= max_inversions(n):
         raise ValueError(f"m_target outside 0..{max_inversions(n)}")
     if betas is None:

@@ -11,7 +11,7 @@ discrete decisions that must be exactly unbiased go through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class SamplerContext:
     seed: int
     stream: tuple[int, ...] = ()
     _gen: np.random.Generator | None = field(default=None, repr=False)
+    # the generator's bit_generator.random_raw, bound by bernoulli_fraction
+    _raw: Callable[[], int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -71,18 +73,19 @@ class SamplerContext:
         2^-64.  The decisions depend only on the ratio: (k*num, k*den)
         decides as (num, den) does on the same stream.
         """
-        if den <= 0:
-            raise ValueError(f"bernoulli_fraction needs den >= 1, got {den}")
-        if not 0 <= num <= den:
-            raise ValueError(f"probability {num}/{den} outside [0, 1]")
-        if num == 0:
-            return False
-        if num == den:
-            return True
+        if not 0 < num < den:
+            if den <= 0:
+                raise ValueError(f"bernoulli_fraction needs den >= 1, got {den}")
+            if not 0 <= num <= den:
+                raise ValueError(f"probability {num}/{den} outside [0, 1]")
+            return num == den
         # one raw 64-bit output: the same value, from the same stream
         # position, as integers(0, 2**64, dtype=uint64), at a fraction of
-        # its cost
-        draw = self.generator.bit_generator.random_raw
+        # its cost; the method is looked up once per context
+        draw = self._raw
+        if draw is None:
+            draw = self.generator.bit_generator.random_raw
+            self._raw = draw
         while True:
             lhs = draw() * den
             rhs = num << 64

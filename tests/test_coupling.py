@@ -15,7 +15,7 @@ from invperm.coupling import (
     materialize_rho,
     rho_entry,
     run_chain,
-    step_stops,
+    step_walk,
     symbolic_chain_distributions,
 )
 from invperm.permutations import decomposition_points
@@ -106,7 +106,8 @@ def test_beta_rejects_reflected_budget():
 def test_capped_table_betas_equal_full_table_betas():
     """Every beta a column cap stores equals the full table's, and a beta
     past the cap raises ValueError.  Each prefix row is as wide as a beta
-    of its level or the next reads, and no wider than the cap stores."""
+    of its level or the next reads, and no wider than the cap stores; its
+    count row holds the differences of the prefix row."""
     cap = 40
     full, capped = BetaTable(build_table(25)), BetaTable(build_table(25, m_cap=cap))
     checked = 0
@@ -121,22 +122,42 @@ def test_capped_table_betas_equal_full_table_betas():
                 checked += 1
     assert checked > 5_000
     for level in range(1, 26):
-        row, whole = capped.prefix_row(level), full.prefix_row(level)
+        (row, counts), (whole, whole_counts) = capped.rows(level), full.rows(level)
         assert len(whole) == max_inversions(level + 1) // 2 + 3
         assert len(row) == min(len(whole), cap + 2)
         assert row == whole[: len(row)]
+        assert counts == whole_counts[: len(counts)] and len(counts) == len(row) - 1
+        assert [b - a for a, b in zip(row, row[1:])] == counts
+
+
+def _stops(x, t, bt):
+    """The (coordinate, num, den) stops of step_walk from x, top down, up
+    to the first certain one.  They are read through the walk's decide
+    callback: the s-th walk passes its first s - 1 stops and takes the
+    s-th, and returns that stop's coordinate.  A walk that passes every
+    level without a certain stop raises BetaSolveError."""
+    stops = []
+    while not stops or stops[-1][1] != stops[-1][2]:
+        asked = []
+
+        def decide(num, den):
+            asked.append((num, den))
+            return len(asked) > len(stops)
+
+        k = step_walk(x, t, bt, decide)
+        assert len(asked) == len(stops) + 1 and asked[:-1] == [s[1:] for s in stops]
+        stops.append((k, *asked[-1]))
+    return stops
 
 
 def _walk_multiplies_out_to_rho(n, m, bt):
     for x in enumerate_inversion_sequences(n, m):
         passed, lands = F(1), {}
-        for k, num, den in step_stops(x, m, bt):
+        for k, num, den in _stops(x, m, bt):
             p = F(num, den)
             assert 0 <= p <= 1
             lands[k] = passed * p
             passed *= 1 - p
-            if passed == 0:
-                break
         assert passed == 0
         for k in range(n):
             y = x[:k] + (x[k] + 1,) + x[k + 1 :]
@@ -308,6 +329,16 @@ def test_run_chain_endpoints():
         run_chain(5, 11, ctx)
 
 
+def test_run_chain_refuses_an_empty_or_negative_size():
+    """n < 1 has no inversion sequences to walk: run_chain raises rather
+    than return an empty state or claim the chain is already maximal."""
+    ctx = SamplerContext(TABLE, 32)
+    for n, m in ((0, 0), (-3, 0), (-3, 1), (-1, 5)):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            run_chain(n, m, ctx)
+    assert run_chain(1, 0, ctx).x == (0,)
+
+
 def test_run_chain_symbolic_uniformity_n4():
     history = symbolic_chain_distributions(4, BT)
     dist3 = history[3]
@@ -420,7 +451,7 @@ def test_beta_table_reads_levels_the_table_gains():
     _grow_table(table, 9)
     x = (0, 1, 2, 0, 3, 1, 4, 2, 5)
     fresh = BetaTable(build_table(9))
-    assert list(step_stops(x, sum(x), betas)) == list(step_stops(x, sum(x), fresh))
+    assert _stops(x, sum(x), betas) == _stops(x, sum(x), fresh)
     state = ChainState(x, sum(x))
     assert chain_step(state, betas, SamplerContext(table, 2)) == chain_step(
         state, fresh, SamplerContext(table, 2)

@@ -69,3 +69,22 @@ def test_traced_census_pass_records_every_layer(perfbench, tmp_path):
         calls, calls, calls, trials
     ]
     assert min(counts[name] for name in ("sample", "tail", "walk")) >= trials
+
+
+def test_traced_chain_pass_records_every_step(perfbench, tmp_path):
+    """One traced pass of the chain workload records a ``step`` span for
+    each of its 780 ``chain_step`` calls and counts at least one Bernoulli
+    draw per step: a ``run_chain`` that skips ``chain_step``, or a walk that
+    draws without ``SamplerContext.bernoulli_fraction``, leaves its layer
+    metrics short."""
+    workloads, tracing = perfbench["workloads"], perfbench["tracing"]
+    workload = workloads.WORKLOADS["chain-full-n40"]
+    tracer = tracing.Tracer()
+    run = workloads.Run(seed=0, seconds=0.0, tracer=tracer, workdir=tmp_path)
+    state = workload.setup()
+    with tracer.installed():
+        workload.tasks(run, state, tracer)
+    assert run.tally.failed == 0, run.tally.failures
+    steps = Counter(name for name, *_ in tracer.all_spans())["step"]
+    assert steps == workloads.CHAIN_M == 780
+    assert tracer.counts["bernoulli"][0] >= steps

@@ -40,6 +40,15 @@ def test_with_table_continues_the_same_stream():
     assert (other.seed, other.stream) == (ctx.seed, ctx.stream)
     draws = [other.uniform_below(1 << 40), ctx.uniform_below(1 << 40)]
     assert draws == [fresh.uniform_below(1 << 40) for _ in range(2)]
+    # bernoulli_fraction binds its raw draw once per context: interleaved on
+    # ctx and on copies made before and after ctx bound it, the decisions
+    # are one context's, and no raw draw is made twice
+    decisions = [ctx.bernoulli_fraction(1, 43)]
+    late = ctx.with_table(table)
+    for step in range(1, 40):
+        decisions.append((ctx, other, late)[step % 3].bernoulli_fraction(1 + step, 43))
+    assert decisions == [fresh.bernoulli_fraction(1 + step, 43) for step in range(40)]
+    assert ctx.uniform_below(1 << 40) == fresh.uniform_below(1 << 40)
 
 
 def test_bernoulli_fraction_frequency():
