@@ -30,7 +30,7 @@ from .permutations import (
     permutation_from_inversion_sequence,
 )
 from .rng import SamplerContext
-from .sampling import SplitSampler, sample_inversion_sequence
+from .sampling import SplitSampler
 
 # ``chain`` caps its table at min(to, C(n,2)//2) + 2, past every budget it reads
 CHAIN_MAX_N = 150
@@ -97,19 +97,9 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--m must lie in 0..{top}")
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    work = min(args.m, top - args.m)
-    if counting.table_cells(args.n, work) <= 2_000_000:
-        table = counting.build_table(args.n, m_cap=work)
-        for i in range(args.count):
-            ctx = SamplerContext(table, args.seed, (i,))
-            x = sample_inversion_sequence(args.n, args.m, ctx)
-            _emit_sample(x, args.format)
-    else:
-        sampler = SplitSampler(args.n, args.m)
-        for i in range(args.count):
-            ctx = SamplerContext(None, args.seed, (i,))
-            x = sampler.sample(ctx).tolist()
-            _emit_sample(x, args.format)
+    sampler = SplitSampler(args.n, args.m)
+    for i in range(args.count):
+        _emit_sample(sampler.sample(SamplerContext(None, args.seed, (i,))).tolist(), args.format)
     return 0
 
 

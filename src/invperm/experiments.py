@@ -126,6 +126,10 @@ class ExperimentConfig:
             raise ValueError("censuses need n >= 4")
         if not self.resolved_points():
             raise ValueError("config needs mu_list or m_list")
+        top = max_inversions(self.n)
+        for _, m in self.resolved_points():
+            if not 0 <= m <= top:
+                raise ValueError(f"m={m} outside 0..{top} at n={self.n}")
         if self.mode == "blocks":
             bound = self.n * _alpha_for_mu(self.n, -2.0)[0]
             for mu, m in self.resolved_points():
@@ -306,7 +310,10 @@ _WORKER = threading.local()
 
 def _worker_init(n: int, m: int, seed: int, key: int) -> None:
     t0 = time.perf_counter()
-    _WORKER.sampler = SplitSampler(n, m)
+    try:
+        _WORKER.sampler = SplitSampler(n, m)
+    except ValueError as exc:  # each chunk raises it: a raising initializer breaks the pool
+        _WORKER.sampler = exc
     _WORKER.build_s = time.perf_counter() - t0
     _WORKER.seed = seed
     _WORKER.key = key
@@ -316,7 +323,9 @@ def _trial_chunk(trial_range: tuple[int, int]):
     """Per trial: the block count and the smallest, largest, first and last
     block size (a summary, not the sizes, which number up to n per trial);
     and the sampler's head size, restarts in the chunk and build time."""
-    sampler: SplitSampler = _WORKER.sampler
+    sampler = _WORKER.sampler
+    if isinstance(sampler, ValueError):  # refused in _worker_init
+        raise sampler
     restarts = sampler.restarts
     out = []
     for trial in range(*trial_range):
@@ -463,12 +472,14 @@ class Verdict:
     ok: dict[str, bool] = field(default_factory=dict)
 
 
-def _unjudged(n: int, m: int) -> str | None:
-    """Why (n, m) has no finite-n law to judge against, or None."""
+def _unjudged(n: int, m: int, saddle: bool = False) -> str | None:
+    """Why (n, m) has no finite-n law (at the saddle point alone if ``saddle``), or None."""
     if classify_regime(n, m) != REGIME_THRESHOLD:
         return "m outside n-1..C(n-1,2): a trivial regime"
     if 2 * m > max_inversions(n):
         return "2m > C(n,2): outside the finite-n law's range"
+    if saddle and 2 * m == max_inversions(n):
+        return "2m = C(n,2): the saddle point is x = 1, where P_1, ..., P_n are 0"
     return None
 
 
@@ -499,7 +510,7 @@ def _judge_block(n: int, p: BlockCensusPoint) -> Verdict:
         "ks_min_exp": _ks_distance(lmin * n * h**2, lambda x: -np.expm1(-x)),
         "ks_max_gumbel": _ks_distance(h * lmax - math.log(n * h), lambda x: np.exp(-np.exp(-x))),
     }
-    verdict = Verdict(p.m, anchors, _unjudged(n, p.m))
+    verdict = Verdict(p.m, anchors, _unjudged(n, p.m, saddle=True))
     if verdict.unjudged is None:
         grid_min, grid_max = _quantile_grid(lmin, n), _quantile_grid(lmax, n)
         cdf_min, cdf_max = finite_n_block_cdfs(n, p.m, grid_min, grid_max, contour=False)

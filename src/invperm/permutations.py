@@ -127,9 +127,9 @@ def permutation_graph_edges(perm: Sequence[int]) -> list[tuple[int, int]]:
     ]
 
 
-# entries per step of ``decomposition_points``: its arrays stay at 64 KB
-# whatever the length, so a census trial at n = 10^5 does not grow the heap
-# by several arrays of n entries beside the sequence it decomposes
+# the length above which ``decomposition_points`` filters zeros first, and
+# the entries ``_cuts_among_zeros`` gathers at once: a census trial at
+# n = 10^5 does not grow the heap by arrays of n entries beside its sequence
 _CHUNK = 1 << 13
 # offsets at which ``_cuts_among_zeros`` filters its candidates before it
 # hands them to the suffix-minimum pass: zeros that survive many offsets,
@@ -144,8 +144,8 @@ def decomposition_points(seq: Sequence[int]) -> list[int]:
     every i in [len-j]; for an inversion sequence these are exactly the
     block boundaries.  Above ``_CHUNK`` entries the few zeros that can be
     points are filtered (``_cuts_among_zeros``); below it, or when the
-    filter gives up, one suffix-minimum pass decides, from the end in chunks
-    of ``_CHUNK`` entries: j qualifies iff j <= min_{s > j} (s - 1 - a_s).
+    filter gives up, one suffix-minimum pass decides: j qualifies iff
+    j <= min_{s > j} (s - 1 - a_s).
 
     >>> decomposition_points([0, 0, 2, 0, 1, 2, 0, 1, 4])
     [3]
@@ -156,19 +156,11 @@ def decomposition_points(seq: Sequence[int]) -> list[int]:
         cuts = _cuts_among_zeros(a)
         if cuts is not None:
             return cuts
-    # 0-based slack[k] = k - a[k] is s - 1 - a_s for s = k + 1; its suffix
-    # minima are taken chunk by chunk from the end, carrying the minimum
-    # past the chunk (n is above every slack)
-    found = []
-    low = n
-    for end in range(n, 1, -_CHUNK):
-        index = np.arange(max(1, end - _CHUNK), end, dtype=np.int64)
-        slack = index - a[index[0] : end]
-        slack[-1] = min(slack[-1], low)
-        np.minimum.accumulate(slack[::-1], out=slack[::-1])
-        low = slack[0]
-        found.append(index[index <= slack])
-    return np.concatenate(found[::-1]).tolist() if found else []
+    # 0-based slack[k] = k - a[k] is s - 1 - a_s for s = k + 1
+    index = np.arange(1, n, dtype=np.int64)
+    slack = index - a[1:]
+    np.minimum.accumulate(slack[::-1], out=slack[::-1])
+    return index[index <= slack].tolist()
 
 
 def _cuts_among_zeros(a: np.ndarray) -> list[int] | None:

@@ -11,13 +11,14 @@ Two engines, both exactly uniform on the target set:
   half the maximum are reflected through x_i -> (i-1) - x_i first,
   halving the table columns needed.
 
-* ``SplitSampler`` handles sizes where the table is out of reach.  It
-  splits the sequence into a short truncated head (where the bounds
-  x_i <= i-1 actually bite) and a long tail, proposes the head sum from
-  its exact marginal, the head from the table, and the tail as a uniform
-  composition (stars and bars), then rejects the rare tail that violates
-  a bound.  Every (head, composition) pair is proposed with the same
-  probability, so conditioned on validity the output is exactly uniform.
+* ``SplitSampler`` is the sampler for every (n, m).  It splits the
+  sequence into a truncated head (where the bounds x_i <= i-1 bite) and
+  a tail, proposes the head sum from its exact marginal, the head from
+  the table, and the tail as a uniform composition (stars and bars), then
+  rejects the rare tail that violates a bound; a head that would reach n
+  is the whole sequence, drawn by the walker.  Every (head, composition)
+  pair is proposed with the same probability, so conditioned on validity
+  the output is exactly uniform.
 """
 
 from __future__ import annotations
@@ -164,10 +165,11 @@ def default_head_size(n: int, m: int) -> int:
     alpha = m/n: tail coordinates look geometric with ratio q, so a tail
     breaks a bound in about one draw in a hundred or fewer.  That is
     c >= log(100 (alpha+1)) / log(1 + 1/alpha), with no padding; the head
-    is at least 16 long and at most n - 1.
+    is at least 16 long and at most n.  A head of length n is the whole
+    sequence: ``SplitSampler`` then makes the table walker's one draw.
     """
     c = 0 if m == 0 else math.ceil(math.log(100.0 * (1.0 + m / n)) / math.log1p(n / m))
-    return min(max(16, c), n - 1)
+    return min(max(16, c), n)
 
 
 class SplitSampler:
@@ -197,6 +199,10 @@ class SplitSampler:
     A tail is kept iff each x_{c+i} <= c+i-1; the bounds rise from c, so
     only the parts before index max(tail) - c are checked, against no
     stored array of bounds.
+
+    A head of length n is the case K = 0: W(a) = s(n, a) * C(m-a-1, -1) is
+    a point mass at a = m, the one block (m, [1]) of total 1, so a draw
+    reads no bits for the head sum, rejects nothing, and is the walker's.
     Draws use the drawing thread's scratch, which a build grows and which is
     held until the thread ends: threads may draw at once, though
     ``restarts`` is exact only when one thread draws.
@@ -225,12 +231,10 @@ class SplitSampler:
         self.reflected = 2 * m > total
         self._m_work = total - m if self.reflected else m
         mw = self._m_work
-        c = default_head_size(n, mw) if head_size is None else int(head_size)
-        if c >= n:
-            c = n - 1
+        c = default_head_size(n, mw) if head_size is None else min(int(head_size), n)
+        if c < 1:
+            raise ValueError("split sampler needs head_size >= 1")
         self.head_size = c
-        if not 1 <= c < n:
-            raise ValueError("split sampler needs 1 <= head_size < n")
         self._tail_parts = n - c
         slots = mw + self._tail_parts - 1
         if slots > MAX_COMPOSITION_SLOTS:
@@ -244,7 +248,7 @@ class SplitSampler:
             a_max, mw, self._tail_parts
         )
         self.restarts = 0
-        _scratch_array("mask", slots, bool)  # grown here, not mid-draw: fewer page faults
+        _scratch_array("mask", max(slots, 0), bool)  # grown here, not mid-draw: fewer page faults
 
     def _weight_blocks(self, a_max: int, m: int, parts: int):
         """Per block, the exact sum of W before it, and (a0, local prefix
@@ -255,6 +259,8 @@ class SplitSampler:
         # so L(a+1) = L(a) // (m-a+K-1) * (m-a) is exact, as is the step
         # to the next block's P, which trades the factors m-j+K-1 it now
         # holds locally for the factors m-j this block held.
+        if parts == 0:  # a whole head: the point mass at a = m
+            return [0], [(m, [1])], 1
         up = [m - j for j in range(a_max)]
         down = [m - j + parts - 1 for j in range(a_max)]
         heads = self.table.counts(self.head_size, 0, a_max)
@@ -298,10 +304,10 @@ class SplitSampler:
         for _ in range(MAX_RESTARTS + 1):
             a = self._head_sum(ctx)
             head = sample_inversion_sequence(c, a, head_ctx)
-            tail = sample_composition(self._tail_parts, mw - a, ctx, out)
+            tail = sample_composition(self._tail_parts, mw - a, ctx, out) if c < self.n else out
             # part i (0-based) is bounded by c + i, so only the parts before
-            # index max(tail) - c can exceed their bounds
-            k = min(int(tail.max()) - c, len(tail))
+            # index max(tail) - c can exceed their bounds; a whole head has none
+            k = min(int(tail.max(initial=c)) - c, len(tail))
             if k <= 0 or np.all(tail[:k] <= np.arange(c, c + k)):
                 x = np.concatenate([np.asarray(head, dtype=np.int64), tail])
                 if self.reflected:

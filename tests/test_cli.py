@@ -141,29 +141,22 @@ def test_sample_large_n_path(capsys):
     assert len(values) == 20000 and sum(values) == 90000
 
 
-def test_sample_engine_follows_the_table_cell_count(capsys, monkeypatch):
-    """At n = 2000, m = 1000 the capped table holds 1 972 181 cells, under
-    the 2 000 000 limit (n * (m + 1) would be 2 002 000), so ``sample``
-    walks it: the output is the table walker's draw for the same seed and
-    stream."""
-    from invperm import counting
+@pytest.mark.parametrize("n, m, count", [(2000, 1000, 1), (8, 9, 3)])
+def test_sample_prints_split_sampler_draws(capsys, n, m, count):
+    """``sample`` has one engine: its lines are ``SplitSampler(n, m)``'s
+    draws on streams 0, 1, ...; at (8, 9) the head is the whole sequence,
+    at (2000, 1000) a 16-long head with a tail."""
     from invperm.rng import SamplerContext
-    from invperm.sampling import sample_inversion_sequence
+    from invperm.sampling import SplitSampler
 
-    assert counting.table_cells(2000, 1000) == 1_972_181
-    built = []
-    build = counting.build_table
-
-    def recording_build(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(counting, "build_table", recording_build)
-    code, out, _ = run_cli(capsys, "sample", "--n", "2000", "--m", "1000", "--seed", "6")
+    code, out, _ = run_cli(
+        capsys, "sample", "--n", str(n), "--m", str(m), "--count", str(count), "--seed", "6"
+    )
     assert code == 0
-    [table] = built
-    x = sample_inversion_sequence(2000, 1000, SamplerContext(table, 6, (0,)))
-    assert out.strip() == ",".join(map(str, x))
+    sampler = SplitSampler(n, m)
+    assert sampler.head_size == (16 if n == 2000 else n)
+    draws = [sampler.sample(SamplerContext(None, 6, (i,))).tolist() for i in range(count)]
+    assert out.splitlines() == [",".join(map(str, x)) for x in draws]
 
 
 def test_chain_trace(capsys):
@@ -484,6 +477,38 @@ def test_census_marked_refuses_parallelism_it_ignores(capsys):
     )
     assert code == 2 and out == ""
     assert err == "invperm census: marked mode runs serially; drop parallelism=2\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for parallelism 2")
+@pytest.mark.parametrize(
+    "n, m, message",
+    [
+        ("10", "100", "m=100 outside 0..45 at n=10"),  # refused by the config
+        ("1000", "249750", "has 132076507 cells, above 10000000"),  # by each worker's sampler
+    ],
+)
+def test_census_unbuildable_point_at_parallelism_2_exits_2(capsys, n, m, message):
+    """A point whose sampler cannot be built gives one error line and exit
+    2 at parallelism 2, as at parallelism 1, not a broken process pool."""
+    code, out, err = run_cli(
+        capsys, "census", "--n", n, "--mode", "components", "--m", m, "--trials", "5",
+        "--parallelism", "2",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("invperm census: ") and message in err and err.count("\n") == 1
+
+
+def test_census_blocks_at_the_middle_budget_prints_its_report(capsys):
+    """At n = 4, mu = -3 gives m = 3 = C(4,2)/2, whose saddle point is x = 1:
+    the point is left unjudged with its reason, and the report prints."""
+    code, out, err = run_cli(
+        capsys, "census", "--n", "4", "--mode", "blocks", "--mu", "-3", "--trials", "2"
+    )
+    report = json.loads(out)
+    [verdict] = report["judgement"]["points"]
+    assert err == "" and report["points"][0]["m"] == 3
+    assert verdict["unjudged"].startswith("2m = C(n,2)") and verdict["ok"] == {}
+    assert code == (0 if report["judgement"]["passed"] else 1)
 
 
 def test_census_config_with_head_size_exits_2(capsys, tmp_path):

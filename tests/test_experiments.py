@@ -359,14 +359,15 @@ def test_census_points_report_sampler_diagnostics():
     acceptance rate; parallelism 1 and 2 give the same head size, restarts
     (summed over chunks and workers) and acceptance, and none of it reaches
     the deterministic bytes."""
-    # n = 20 heads are n - 1 long, so the one tail coordinate often breaks
-    # its bound and proposals restart
-    cfg = _component_cfg(n=20, trials=40, m_list=[57, 85], seed=2)
+    # the n = 100 heads (51 and 74 long) leave tails of 49 and 26 parts that
+    # break a bound in a few percent of proposals, so proposals restart
+    cfg = _component_cfg(n=100, trials=40, m_list=[700, 1000], seed=2)
     serial = run_component_census(cfg)
     cfg.parallelism = 2
     parallel = run_component_census(cfg)
     for point in serial.points:
-        sampler = SplitSampler(20, point.m)
+        sampler = SplitSampler(100, point.m)
+        assert sampler.head_size < 100
         assert point.sampler.head_size == sampler.head_size
         assert point.sampler.build_s > 0
         assert point.sampler.acceptance == 40 / (40 + point.sampler.restarts)

@@ -192,8 +192,9 @@ def test_decomposition_points_match_definition_on_any_sequence(seed, n):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_decomposition_points_in_chunks_match_definition(monkeypatch, chunk):
-    """Chunks of every small width, so that cut points fall on, before and
-    after chunk edges, give the definition's points."""
+    """A ``_CHUNK`` of every small width, so that short sequences go
+    through the zero filter and its window gather at many sizes, gives the
+    definition's points."""
     monkeypatch.setattr(permutations, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     for n in range(0, 30):
@@ -203,7 +204,7 @@ def test_decomposition_points_in_chunks_match_definition(monkeypatch, chunk):
                 seq.tolist()
             )
         # a last entry above the zero filter's round bound keeps its
-        # candidates past it, so the chunked pass decides, across edges
+        # candidates past it, so the suffix-minimum pass decides
         seq = rng.integers(0, 2, size=n + 30)
         seq[1], seq[-1] = 0, permutations._ROUNDS + 8
         expected = decomposition_points_of_sequence_brute(seq.tolist())
@@ -211,9 +212,9 @@ def test_decomposition_points_in_chunks_match_definition(monkeypatch, chunk):
 
 
 def test_decomposition_points_match_one_pass_at_census_size():
-    """At n = 10^5, a dozen chunks, the points are those of one suffix-minimum
-    pass over the whole sequence, for a split-sampler draw and for a sequence
-    with a cut point at about every other position."""
+    """At n = 10^5 the points are those of one suffix-minimum pass over the
+    whole sequence, written out here, for a split-sampler draw and for a
+    sequence with a cut point at about every other position."""
     rng = np.random.default_rng(5)
     draw = SplitSampler(100_000, 764_911).sample(SamplerContext(None, 9))
     for seq in (draw, rng.integers(0, 2, size=100_000)):
@@ -267,13 +268,13 @@ def test_decomposition_paths_just_above_one_chunk_match_definition(monkeypatch, 
 
 def test_decomposition_points_of_census_draws_match_the_chunked_pass(monkeypatch):
     """Split-sampler draws at n = 10^5, mu = -1, 0, 1: the zero filter
-    gives the chunked suffix-minimum pass's points."""
+    gives the suffix-minimum pass's points."""
     draws = []
     for m in (704_118, 764_911, 825_704):
         sampler = SplitSampler(100_000, m)
         draws += [sampler.sample(SamplerContext(None, 41, (m, t))) for t in range(4)]
     filtered = [decomposition_points(x) for x in draws]
-    # a filter that gives up at once leaves every draw to the chunked pass
+    # a filter that gives up at once leaves every draw to the suffix-minimum pass
     monkeypatch.setattr(permutations, "_cuts_among_zeros", lambda a: None)
     assert filtered == [decomposition_points(x) for x in draws]
     assert sum(map(len, filtered)) > 0
@@ -282,7 +283,7 @@ def test_decomposition_points_of_census_draws_match_the_chunked_pass(monkeypatch
 def test_decomposition_points_of_a_cycle_stop_filtering_at_the_round_bound():
     """(0, ..., 0, n - 1), the inversion sequence of (2, 3, ..., n, 1), at
     n = 10^5 loses one candidate per offset, so the filter stops after
-    ``_ROUNDS`` offsets and the chunked pass decides: no cut, far within a
+    ``_ROUNDS`` offsets and the suffix-minimum pass decides: no cut, far within a
     second (a filter without that bound would take n offsets)."""
     assert inversion_sequence((2, 3, 4, 5, 1)) == [0, 0, 0, 0, 4]
     n = 100_000

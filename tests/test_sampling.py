@@ -861,20 +861,48 @@ def test_default_head_size_bounds():
     """The default head is the smallest c with q^c/(1-q) <= 1e-2, where
     q = alpha/(alpha+1) = m/(m+n), checked in integers as
     100 m^c (m+n) <= n (m+n)^c: it holds at c unless c sits on the n-1 cap,
-    and fails at c-1 unless c sits on the floor, 16 or n-1 if less."""
+    and fails at c-1 unless c sits on the floor, 16 or n if less."""
     def meets(n, m, c):
         return 100 * m**c * (m + n) <= n * (m + n) ** c
 
     grid = [(n, alpha_for_mu(n, mu)[1]) for n in (100, 10**3, 10**5, 10**6, 10**7)
             for mu in range(-3, 4)]
-    for n, m in [*grid, (30, 200), (10, 3)]:  # the last two clamped to n-1
+    for n, m in [*grid, (30, 200), (10, 3)]:  # the last two clamped to n
         c = default_head_size(n, m)
-        assert min(16, n - 1) <= c <= n - 1
-        assert c == n - 1 or meets(n, m, c), (n, m, c)
-        assert c == min(16, n - 1) or not meets(n, m, c - 1), (n, m, c)
+        assert min(16, n) <= c <= n
+        assert c == n or meets(n, m, c), (n, m, c)
+        assert c == min(16, n) or not meets(n, m, c - 1), (n, m, c)
     assert [default_head_size(10**5, m) for m in (704_118, 764_911, 825_704)] == [51, 56, 60]
-    assert default_head_size(10, 3) == 9  # clamped to n-1
+    assert default_head_size(10, 3) == 10  # clamped to n: a whole head
     assert default_head_size(1000, 0) == 16
+
+
+@pytest.mark.parametrize(
+    "n,m,head",
+    [
+        (1, 0, None),
+        (2, 1, None),
+        (8, 9, None),
+        (6, 13, None),  # reflected
+        (50, 600, None),
+        (100, 2475, None),
+        (30, 300, None),  # reflected
+        (12, 30, 50),  # an explicit head past n
+    ],
+)
+def test_whole_head_draws_are_the_table_walkers(n, m, head):
+    """Where the head reaches n, by default or by ``head_size >= n``, it is
+    the whole sequence: the head-sum draw reads no bits, no tail is drawn or
+    rejected, and each draw is the table walker's for the same seed and
+    stream."""
+    sampler = SplitSampler(n, m, head_size=head)
+    assert sampler.head_size == n
+    table = build_table(n, m_cap=min(m, max_inversions(n) - m))
+    for t in range(5):
+        x = sampler.sample(SamplerContext(None, 21, (t,)))
+        assert x.dtype == np.int64
+        assert x.tolist() == sample_inversion_sequence(n, m, SamplerContext(table, 21, (t,)))
+    assert sampler.restarts == 0
 
 
 def test_live_split_samplers_share_one_head_table(monkeypatch):
