@@ -3,9 +3,11 @@
 Subcommands: ``count``, ``table``, ``blocks``, ``invseq``, ``sample``,
 ``chain``, ``rho``, ``params``, ``census``.  Every subcommand exits with 2
 on bad input: :func:`main` turns a ``ValueError`` or an ``OSError`` into
-one ``invperm <command>: <message>`` line on stderr.  ``count --table``
-also exits with 2 on an unreadable cache, and ``chain`` for n above
-``CHAIN_MAX_N``, before it builds its count table.  ``census`` exits with 1
+one ``invperm <command>: <message>`` line on stderr.  ``count`` prints 0
+for an m outside 0..C(n,2) without building a table.  ``table`` writes a
+cache that names (max_n, m_cap) and ``count --table`` builds that table
+again; it exits with 2 on an unreadable cache, as ``chain`` does for n
+above ``CHAIN_MAX_N``, before it builds its count table.  ``census`` exits with 1
 when its report, judged by ``experiments.judge``, has not passed.  Writing
 into a closed stdout (``... | head -1``) exits quietly with 141, as SIGPIPE would.
 """
@@ -43,16 +45,21 @@ def _parse_ints(text: str) -> list[int]:
 def _cmd_count(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
+    top = counting.max_inversions(args.n)
+    m = min(args.m, top - args.m)  # s(n, m) = s(n, C(n,2) - m)
     if args.table:
         try:
             table = counting.load_table(args.table)
         except (ValueError, OSError) as exc:
             raise ValueError(f"cannot read table cache: {exc}") from exc
-        if not table.covers(args.n, min(args.m, counting.max_inversions(args.n))):
+        if not table.covers(args.n, min(args.m, top)):
             raise ValueError("cache does not cover the request")
-    else:
-        table = counting.build_table(args.n, m_cap=args.m if args.m >= 0 else None)
-    print(table.count(args.n, args.m))
+    elif m >= 0:
+        table = counting.build_table(args.n, m_cap=m)
+    else:  # m outside 0..C(n,2): no permutation, and no table to build
+        print(0)
+        return 0
+    print(table.count(args.n, m))
     return 0
 
 

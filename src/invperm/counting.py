@@ -3,26 +3,27 @@
 The central object is the table of counts s(n, m) = #{permutations of [n]
 with exactly m inversions}, kept as exact Python integers.  Everything
 downstream (uniform sampling, transition-probability solving) consumes
-ratios of these counts, so no floating point is allowed here.
+ratios of these counts, so no floating point decides a count here.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import stat
 import struct
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from operator import mul, sub
 from typing import Iterator
 
+_HEADER = struct.Struct("<4sIIQ")  # a cache: magic, version, max_n, m_cap
 _MAGIC = b"IVTB"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_UNCAPPED = (1 << 64) - 1  # the header's m_cap of a table with whole rows
 
-# cells ``build_table`` agrees to fill; the largest table the tests build
-# (n = 600 capped at its threshold budget) has about 1.4e6
-MAX_TABLE_CELLS = 10**7
+# bytes ``table_bytes`` may estimate for a table ``build_table`` agrees to
+# fill; it estimates 1.4e9 for build_table(300) (about 0.5 GB in fact) and
+# 3.6e9 for the whole head at (400, 39 900)
+MAX_TABLE_BYTES = 2 * 10**9
 
 
 def max_inversions(n: int) -> int:
@@ -41,10 +42,11 @@ class InversionTable:
 
     Row n' has entries for m = 0..C(n',2), or up to ``m_cap`` when the
     table was built column-capped (large n' only needs small budgets).
-    Row n' does not depend on max_n, so ``_grow_table`` appends rows to a
-    table in place and leaves the stored ones, and their readers, untouched
-    (``sampling`` grows the head tables its samplers share).  Reads may run
-    alongside a grow; two grows of one table may not.
+    The rows are a pure function of (max_n, m_cap), and a cache stores
+    those two alone.  Row n' does not depend on max_n, so :meth:`grow`
+    appends rows to a table in place and leaves the stored ones, and their
+    readers, untouched (``sampling`` grows the head tables its samplers
+    share).  Reads may run alongside a grow; two grows of one table may not.
     """
 
     def __init__(self, rows: list[list[int]], m_cap: int | None = None):
@@ -125,6 +127,44 @@ class InversionTable:
         """True when s(n', m') is stored for all n' <= n, m' <= m."""
         return n <= self.max_n and (self.m_cap is None or m <= self.m_cap)
 
+    def grow(self, max_n: int) -> None:
+        """Append rows by the one-row recurrence until the table holds max_n.
+
+        s(n, m) = sum of s(n-1, m-i) over i = 0..n-1, evaluated with a
+        sliding window, s(n, m) = s(n, m-1) + s(n-1, m) - s(n-1, m-n): a row
+        is the running sum of s(n-1, m) - s(n-1, m-n), so each cell costs
+        O(1) big-integer additions, done in ``itertools`` rather than a
+        Python loop.  A column-capped table truncates every row at its cap
+        (the recurrence never looks right of the cap).
+
+        Rows are symmetric, s(n, m) = s(n, C(n,2) - m), by the reflection
+        x_i -> (i-1) - x_i.  So a row whose width passes C(n,2)/2 is summed
+        only up to floor(C(n,2)/2), and each entry m above that is the very
+        int object stored at C(n,2) - m: such a row costs half the additions
+        and about half the memory, and readers see the same values, length
+        and interface.  A grown table whose :func:`table_bytes` estimate is
+        above ``MAX_TABLE_BYTES`` is refused before anything is allocated,
+        leaving the table as it was; a max_n the table already holds changes
+        nothing.
+        """
+        if max_n <= self.max_n:
+            return
+        size = table_bytes(max_n, self.m_cap)
+        if size > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"table max_n={max_n}, m_cap={self.m_cap} may take {size:.3g} bytes, "
+                f"above {MAX_TABLE_BYTES:.3g}"
+            )
+        rows = self._rows
+        for n in range(self.max_n + 1, max_n + 1):
+            prev = rows[n - 1]
+            width = _row_width(n, self.m_cap)
+            diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
+            row = list(accumulate(islice(diffs, min(width, max_inversions(n) // 2 + 1))))
+            row += _mirror(row, n, width)
+            rows.append(row)
+            self.max_n = n
+
 
 def table_cells(max_n: int, m_cap: int | None = None) -> int:
     """Cells of ``build_table(max_n, m_cap)``: sum of min(C(n,2), m_cap) + 1.
@@ -139,54 +179,35 @@ def table_cells(max_n: int, m_cap: int | None = None) -> int:
     return math.comb(full + 1, 3) + max_n + 1 + (max_n - full) * (m_cap or 0)
 
 
+def table_bytes(max_n: int, m_cap: int | None = None) -> int:
+    """Upper estimate of the memory of ``build_table(max_n, m_cap)``.
+
+    Every cell is counted as a list slot and an int as wide as the largest
+    count of row max_n, which bounds every count of the table: s(n, m) is
+    at most n!, and at most the C(m+n-1, n-1) compositions of m into n
+    parts, both non-decreasing in n.  The width comes from ``lgamma``; a
+    float only sizes this bound and never decides a count.  Shared mirror
+    halves are counted twice: a whole table holds about 35 % of the
+    estimate, ``build_table(500, m_cap=2120)`` about half.
+    """
+    log_top = math.lgamma(max_n + 1)
+    if m_cap is not None:
+        log_comb = math.lgamma(m_cap + max_n) - math.lgamma(m_cap + 1) - math.lgamma(max_n)
+        log_top = min(log_top, log_comb)
+    digits = int(log_top / math.log(2)) // 30 + 1  # an int holds 30 bits a 4-byte digit
+    return table_cells(max_n, m_cap) * (40 + 4 * digits)  # 8-byte slot, 32-byte int head
+
+
 def build_table(max_n: int, m_cap: int | None = None) -> InversionTable:
     """The count table for all n <= max_n, column-capped at ``m_cap`` if
-    given: ``_grow_table`` applied to the table of row 0 alone."""
+    given: :meth:`InversionTable.grow` applied to the table of row 0 alone."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if m_cap is not None and m_cap < 0:
         raise ValueError("m_cap must be >= 0")
     table = InversionTable([[1]], m_cap=m_cap)
-    _grow_table(table, max_n)
+    table.grow(max_n)
     return table
-
-
-def _grow_table(table: InversionTable, max_n: int) -> None:
-    """Append rows by the one-row recurrence until ``table`` holds max_n.
-
-    s(n, m) = sum of s(n-1, m-i) over i = 0..n-1, evaluated with a sliding
-    window, s(n, m) = s(n, m-1) + s(n-1, m) - s(n-1, m-n): a row is the
-    running sum of s(n-1, m) - s(n-1, m-n), so each cell costs O(1)
-    big-integer additions, done in ``itertools`` rather than a Python
-    loop.  A column-capped table truncates every row at its cap (the
-    recurrence never looks right of the cap).
-
-    Rows are symmetric, s(n, m) = s(n, C(n,2) - m), by the reflection
-    x_i -> (i-1) - x_i.  So a row whose width passes C(n,2)/2 is summed
-    only up to floor(C(n,2)/2), and each entry m above that is the very
-    int object stored at C(n,2) - m: such a row costs half the additions
-    and about half the memory, and readers see the same values, length
-    and interface.  A grown size of more than ``MAX_TABLE_CELLS`` cells is
-    refused before anything is allocated, leaving the table as it was; a
-    max_n the table already holds changes nothing.
-    """
-    if max_n <= table.max_n:
-        return
-    cells = table_cells(max_n, table.m_cap)
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"table max_n={max_n}, m_cap={table.m_cap} has {cells} cells, "
-            f"above {MAX_TABLE_CELLS}"
-        )
-    rows = table._rows
-    for n in range(table.max_n + 1, max_n + 1):
-        prev = rows[n - 1]
-        width = _row_width(n, table.m_cap)
-        diffs = map(sub, chain(prev, repeat(0)), chain(repeat(0, n), prev))
-        row = list(accumulate(islice(diffs, min(width, max_inversions(n) // 2 + 1))))
-        row += _mirror(row, n, width)
-        rows.append(row)
-        table.max_n = n
 
 
 def _mirror(row: list[int], n: int, width: int) -> list[int]:
@@ -241,69 +262,38 @@ def mahonian_polynomial(n: int) -> list[int]:
 
 
 def save_table(table: InversionTable, path: str) -> None:
-    """Write a versioned binary cache of the table.
+    """Write a cache of a built table: the 20-byte ``_HEADER`` alone.
 
-    Layout (all little-endian): magic ``IVTB``, u32 format version,
-    u32 max_n, u64 m_cap (2**64-1 meaning uncapped); then per row a u64
-    entry count followed by length-prefixed (u64) big-integer bytes.
+    A count table is a pure function of (max_n, m_cap), so the cache names
+    those two.  A table whose rows are not ``build_table(max_n, m_cap)``'s,
+    such as a hand-made one, is refused before anything is written.
     """
-    cap = (1 << 64) - 1 if table.m_cap is None else table.m_cap
+    if table._rows != build_table(table.max_n, table.m_cap)._rows:
+        raise ValueError(f"rows differ from build_table({table.max_n}, m_cap={table.m_cap})")
+    if table.m_cap is not None and table.m_cap >= _UNCAPPED:
+        raise ValueError(f"m_cap={table.m_cap} does not fit a cache header")
+    cap = _UNCAPPED if table.m_cap is None else table.m_cap
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQ", _FORMAT_VERSION, table.max_n, cap))
-        for n in range(table.max_n + 1):
-            row = table._rows[n]
-            fh.write(struct.pack("<Q", len(row)))
-            for value in row:
-                blob = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
+        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, table.max_n, cap))
 
 
 def load_table(path: str) -> InversionTable:
-    """Read a cache produced by :func:`save_table`, validating the header.
+    """``build_table`` of the (max_n, m_cap) a :func:`save_table` cache names.
 
-    A malformed or truncated cache (a value length past the size of a
-    regular file is refused unread), a row whose entry count is not the
-    min(C(n,2), m_cap) + 1 that ``build_table`` stores, or a row whose
-    entries m above C(n,2)/2 differ from those at C(n,2) - m raises
-    ``ValueError``.  Those entries then share the int objects at
-    C(n,2) - m, as in a built table.
+    A bad magic, a version other than 2 (version 1 stored every count), or
+    a file shorter or longer than the header raises ``ValueError``, and
+    ``build_table`` refuses a bad or oversized header before it allocates.
     """
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        # no value is longer than a regular file; a pipe's length is unknown
-        size = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not an inversion-table cache (magic {magic!r})")
-        try:
-            version, max_n, cap = struct.unpack("<IIQ", fh.read(16))
-            if version != _FORMAT_VERSION:
-                raise ValueError(f"unsupported cache format version {version}")
-            m_cap = None if cap == (1 << 64) - 1 else cap
-            rows = []
-            for n in range(max_n + 1):
-                (nentries,) = struct.unpack("<Q", fh.read(8))
-                width = _row_width(n, m_cap)
-                if nentries != width:
-                    raise ValueError(f"cache row {n} has {nentries} entries, expected {width}")
-                row = []
-                for _ in range(nentries):
-                    (nbytes,) = struct.unpack("<Q", fh.read(8))
-                    blob = fh.read(nbytes) if nbytes <= size else b""
-                    if len(blob) != nbytes:
-                        raise ValueError(f"truncated inversion-table cache: {nbytes}-byte value")
-                    row.append(int.from_bytes(blob, "little"))
-                mirror = _mirror(row, n, width)
-                half = width - len(mirror)
-                if row[half:] != mirror:
-                    raise ValueError(
-                        f"cache row {n} is not symmetric: s({n}, m) differs from "
-                        f"s({n}, {max_inversions(n)} - m)"
-                    )
-                row[half:] = mirror
-                rows.append(row)
-        except struct.error as exc:
-            raise ValueError(f"truncated inversion-table cache ({exc})") from None
-    return InversionTable(rows, m_cap=m_cap)
+        data = fh.read(_HEADER.size + 1)
+    if data[:4] != _MAGIC:
+        raise ValueError(f"not an inversion-table cache (magic {data[:4]!r})")
+    if len(data) < _HEADER.size:
+        raise ValueError(f"truncated inversion-table cache: {len(data)} of 20 header bytes")
+    _, version, max_n, cap = _HEADER.unpack_from(data)
+    if version != _FORMAT_VERSION:
+        hint = "; re-run `invperm table` to write it again" if version == 1 else ""
+        raise ValueError(f"unsupported cache format version {version}{hint}")
+    if len(data) > _HEADER.size:
+        raise ValueError("inversion-table cache has bytes past its 20-byte header")
+    return build_table(max_n, None if cap == _UNCAPPED else cap)

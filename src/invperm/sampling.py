@@ -31,7 +31,7 @@ import weakref
 
 import numpy as np
 
-from .counting import InversionTable, _grow_table, build_table, max_inversions
+from .counting import InversionTable, build_table, max_inversions
 from .permutations import reflect_sequence
 from .rng import SamplerContext
 
@@ -60,14 +60,14 @@ def _scratch_array(name: str, size: int, dtype) -> np.ndarray:
 
 def _head_table(rows: int, m_cap: int | None) -> InversionTable:
     """The live head table capped at ``m_cap``, grown to ``rows`` rows, or a
-    new one; a grow or build past ``MAX_TABLE_CELLS`` raises and changes
+    new one; a grow or build past ``MAX_TABLE_BYTES`` raises and changes
     nothing."""
     with _head_lock:
         table = _head_tables.get(m_cap)
         if table is None:
             table = _head_tables[m_cap] = build_table(rows, m_cap)
         else:
-            _grow_table(table, rows)
+            table.grow(rows)
         return table
 
 

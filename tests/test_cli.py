@@ -46,49 +46,102 @@ def test_count_rejects_truncated_cache(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
 
 
-def test_count_rejects_cache_with_short_row(tmp_path, capsys):
+def _hand_made_cache(tmp_path, change_row_6):
+    """Try to save build_table(8) with row 6 changed; returns the path."""
     from invperm.counting import InversionTable, build_table, save_table
 
-    full = build_table(8)
-    rows = [[1]] + [full.row(k) for k in range(1, 9)]
-    rows[6] = rows[6][:-3]
-    cache = str(tmp_path / "bad.bin")
-    save_table(InversionTable(rows), cache)
-    code, out, err = run_cli(capsys, "count", "6", "15", "--table", cache)
-    assert code == 2 and out == ""
-    assert err == "invperm count: cannot read table cache: cache row 6 has 13 entries, expected 16\n"
+    rows = [list(row) for row in build_table(8)._rows]
+    change_row_6(rows[6])
+    cache = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match="rows differ from build_table"):
+        save_table(InversionTable(rows), str(cache))
+    return cache
+
+
+def test_count_rejects_cache_with_short_row(tmp_path, capsys):
+    """A table with a short row is refused at save, so no cache holds it
+    and ``count`` finds none."""
+    cache = _hand_made_cache(tmp_path, lambda row: row.__delitem__(slice(-3, None)))
+    code, out, err = run_cli(capsys, "count", "6", "15", "--table", str(cache))
+    assert code == 2 and out == "" and not cache.exists()
+    assert err.startswith("invperm count: cannot read table cache: [Errno 2]")
 
 
 def test_count_rejects_cache_whose_row_halves_differ(tmp_path, capsys):
-    from invperm.counting import InversionTable, build_table, save_table
-
-    full = build_table(8)
-    rows = [[1]] + [full.row(k) for k in range(1, 9)]
-    rows[6][13] += 1
-    cache = str(tmp_path / "bad.bin")
-    save_table(InversionTable(rows), cache)
-    code, out, err = run_cli(capsys, "count", "6", "2", "--table", cache)
-    assert code == 2 and out == ""
-    assert err.startswith("invperm count: cannot read table cache: cache row 6 is not symmetric")
+    cache = _hand_made_cache(tmp_path, lambda row: row.__setitem__(13, row[13] + 1))
+    code, out, err = run_cli(capsys, "count", "6", "2", "--table", str(cache))
+    assert code == 2 and out == "" and not cache.exists()
+    assert err.startswith("invperm count: cannot read table cache: [Errno 2]")
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("nbytes", [1 << 62, (1 << 63) + 5])
 def test_count_rejects_cache_with_value_length_past_the_end(tmp_path, capsys, nbytes):
+    """A version-1 cache, which stored every count, is refused by its
+    header; a huge value length in it is never read."""
     import struct
 
-    from invperm.counting import build_table, save_table
-
     cache = tmp_path / "bad.ivtb"
-    save_table(build_table(4), str(cache))
-    data = bytearray(cache.read_bytes())
-    data[28:36] = struct.pack("<Q", nbytes)  # the first value's length, after row 0's count
-    cache.write_bytes(data)
+    header = struct.pack("<4sIIQ", b"IVTB", 1, 4, (1 << 64) - 1)
+    cache.write_bytes(header + struct.pack("<QQ", 1, nbytes) + b"\x01")
     code, out, err = run_cli(capsys, "count", "4", "2", "--table", str(cache))
     assert code == 2 and out == ""
     assert err == (
-        f"invperm count: cannot read table cache: truncated inversion-table cache: {nbytes}-byte value\n"
+        "invperm count: cannot read table cache: unsupported cache format version 1; "
+        "re-run `invperm table` to write it again\n"
     )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"NOPE" + bytes(16), "not an inversion-table cache (magic b'NOPE')"),
+        (b"IVTB\x02\x00", "truncated inversion-table cache: 6 of 20 header bytes"),
+        ("header", "bytes past its 20-byte header"),
+        ("oversized", "table max_n=1000, m_cap=None may take"),
+    ],
+    ids=["magic", "short", "long", "oversized"],
+)
+def test_count_rejects_unreadable_cache(tmp_path, capsys, monkeypatch, data, message):
+    """Each unreadable cache gives one error line and exit 2; an oversized
+    header builds nothing."""
+    import struct
+
+    from invperm import cli
+
+    cache = tmp_path / "t.bin"
+    assert run_cli(capsys, "table", "--max-n", "10", "--out", str(cache))[0] == 0
+    if data == "header":
+        data = cache.read_bytes() + b"\x00"
+    elif data == "oversized":
+        data = struct.pack("<4sIIQ", b"IVTB", 2, 1000, (1 << 64) - 1)
+    cache.write_bytes(data)
+    monkeypatch.setattr(cli.counting, "accumulate", None)  # no row may be filled
+    code, out, err = run_cli(capsys, "count", "10", "20", "--table", str(cache))
+    assert code == 2 and out == ""
+    assert err.startswith("invperm count: cannot read table cache: ")
+    assert message in err and err.count("\n") == 1
+
+
+def test_count_outside_the_range_prints_0_without_a_table(capsys, monkeypatch):
+    """s(n, m) = 0 for m outside 0..C(n,2) is printed without building a
+    table, and an m past C(n,2)/2 builds the table capped at C(n,2) - m."""
+    from invperm import cli
+    from invperm.counting import build_table
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a count of 0")
+
+    monkeypatch.setattr(cli.counting, "build_table", no_table)
+    for n, m in [(300, -5), (1000, -1), (300, 50_000), (10, 46), (1, 1)]:
+        assert run_cli(capsys, "count", str(n), str(m)) == (0, "0\n", "")
+    caps = []
+    monkeypatch.setattr(
+        cli.counting, "build_table", lambda n, m_cap: caps.append(m_cap) or build_table(n, m_cap)
+    )
+    for m, expected in [(45, "1"), (44, "9"), (20, "230131"), (25, "230131")]:
+        assert run_cli(capsys, "count", "10", str(m)) == (0, expected + "\n", "")
+    assert caps == [0, 1, 20, 20]
 
 
 def test_blocks_json(capsys):
@@ -484,7 +537,7 @@ def test_census_marked_refuses_parallelism_it_ignores(capsys):
     "n, m, message",
     [
         ("10", "100", "m=100 outside 0..45 at n=10"),  # refused by the config
-        ("1000", "249750", "has 132076507 cells, above 10000000"),  # by each worker's sampler
+        ("1000", "249750", "may take 1.56e+11 bytes, above 2e+09"),  # by each worker's sampler
     ],
 )
 def test_census_unbuildable_point_at_parallelism_2_exits_2(capsys, n, m, message):

@@ -1,8 +1,10 @@
 import itertools
 import math
 import os
+import re
 import struct
 import threading
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,7 @@ from invperm.counting import (
     mahonian_polynomial,
     max_inversions,
     save_table,
+    table_bytes,
     table_cells,
 )
 
@@ -132,31 +135,89 @@ def test_cache_round_trip(tmp_path):
             assert all(row[m] is row[top - m] for m in range(top // 2 + 1, len(row)))
 
 
-def _entry_offset(data: bytes, n: int, m: int) -> int:
-    """Where the bytes of s(n, m) start in a cache written by ``save_table``."""
-    pos = 4 + 16
-    for k in range(n + 1):
-        (entries,) = struct.unpack_from("<Q", data, pos)
-        pos += 8
-        for j in range(entries):
-            if (k, j) == (n, m):
-                return pos + 8
-            (nbytes,) = struct.unpack_from("<Q", data, pos)
-            pos += 8 + nbytes
-    raise AssertionError(f"s({n},{m}) not in the cache")
+def _version_1_bytes(table: InversionTable) -> bytes:
+    """A cache of ``table`` in format version 1, which stored every count:
+    the 20-byte header, then per row a u64 entry count and per entry a u64
+    byte length and the little-endian bytes."""
+    cap = (1 << 64) - 1 if table.m_cap is None else table.m_cap
+    out = [struct.pack("<4sIIQ", b"IVTB", 1, table.max_n, cap)]
+    for row in table._rows:
+        out.append(struct.pack("<Q", len(row)))
+        for value in row:
+            blob = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
+            out += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(out)
 
 
 def test_cache_rejects_row_whose_halves_differ(tmp_path):
+    """A table whose s(7, 12) is one above s(7, 9) is refused at save, and
+    no cache is written."""
+    path = tmp_path / "table.bin"
+    rows = [list(row) for row in build_table(9)._rows]
+    rows[7][12] += 1
+    with pytest.raises(ValueError, match=r"rows differ from build_table\(9, m_cap=None\)"):
+        save_table(InversionTable(rows), str(path))
+    assert not path.exists()
+
+
+def test_cache_file_is_its_header(tmp_path):
+    """A cache is magic, version 2, max_n and m_cap, and nothing else."""
+    path = tmp_path / "table.bin"
+    for table, cap in [(build_table(18, m_cap=30), 30), (build_table(9), (1 << 64) - 1)]:
+        save_table(table, str(path))
+        assert path.read_bytes() == struct.pack("<4sIIQ", b"IVTB", 2, table.max_n, cap)
+
+
+def test_cache_rejects_version_1_file(tmp_path):
+    """A cache written in format version 1 is refused by its header, with
+    the command that writes it again."""
+    path = tmp_path / "table.bin"
+    path.write_bytes(_version_1_bytes(build_table(9)))
+    with pytest.raises(ValueError, match=r"version 1; re-run `invperm table`"):
+        load_table(str(path))
+    path.write_bytes(struct.pack("<4sIIQ", b"IVTB", 3, 9, 5))
+    with pytest.raises(ValueError, match="unsupported cache format version 3"):
+        load_table(str(path))
+
+
+def test_cache_rejects_bytes_past_the_header(tmp_path):
     path = tmp_path / "table.bin"
     save_table(build_table(9), str(path))
-    data = bytearray(path.read_bytes())
-    # s(7, 12) = s(7, 9) = 531 = 0x0213; make the upper one 0x0214
-    at = _entry_offset(data, 7, 12)
-    assert data[at : at + 2] == b"\x13\x02"
-    data[at] += 1
-    path.write_bytes(data)
-    with pytest.raises(ValueError, match=r"cache row 7 is not symmetric"):
+    for tail in (b"\x00", b"\x01" * 100):
+        path.write_bytes(path.read_bytes()[:20] + tail)
+        with pytest.raises(ValueError, match="bytes past its 20-byte header"):
+            load_table(str(path))
+
+
+@pytest.mark.parametrize(
+    "max_n, cap, message",
+    [
+        (100_000, (1 << 64) - 1, "may take .* bytes, above"),
+        (500, 62_375, "max_n=500, m_cap=62375 may take"),
+        (2**32 - 1, 0, "max_n=4294967295, m_cap=0 may take"),
+        (0, 5, "max_n must be >= 1"),
+    ],
+)
+def test_cache_refuses_bad_header_before_building(
+    tmp_path, monkeypatch, max_n, cap, message
+):
+    """A header that names an empty or oversized table is refused before
+    any row is filled."""
+    path = tmp_path / "table.bin"
+    path.write_bytes(struct.pack("<4sIIQ", b"IVTB", 2, max_n, cap))
+    filled = []
+    monkeypatch.setattr(counting, "accumulate", lambda *args: filled.append(args))
+    with pytest.raises(ValueError, match=message):
         load_table(str(path))
+    assert filled == []
+
+
+def test_save_refuses_a_cap_the_header_cannot_hold(tmp_path):
+    path = tmp_path / "table.bin"
+    for cap in ((1 << 64) - 1, 1 << 64):
+        with pytest.raises(ValueError, match=f"m_cap={cap} does not fit a cache header"):
+            save_table(build_table(3, m_cap=cap), str(path))
+    assert not path.exists()
 
 
 def test_counts_agrees_with_count_both_ways():
@@ -187,12 +248,13 @@ def test_counts_rejects_unstored_columns():
 
 @pytest.mark.parametrize("delta", [-3, -1, 1, 2])
 def test_cache_rejects_wrong_row_width(tmp_path, delta):
-    path = str(tmp_path / "bad.bin")
+    """A hand-made table with a short or long row is refused at save."""
+    path = tmp_path / "bad.bin"
     rows = [[1]] + [TABLE40.row(k) for k in range(1, 9)]
     rows[6] = rows[6][:delta] if delta < 0 else rows[6] + [0] * delta
-    save_table(InversionTable(rows), path)
-    with pytest.raises(ValueError, match=f"cache row 6 has {16 + delta} entries, expected 16"):
-        load_table(path)
+    with pytest.raises(ValueError, match="rows differ from build_table"):
+        save_table(InversionTable(rows), str(path))
+    assert not path.exists()
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -206,8 +268,8 @@ def test_cache_rejects_truncation(tmp_path):
     path = tmp_path / "table.bin"
     save_table(build_table(9), str(path))
     data = path.read_bytes()
-    # inside the header, inside an entry length, inside the last integer
-    for cut in (10, 30, len(data) // 2, len(data) - 1):
+    # inside the magic, after it, and one byte short of the header
+    for cut in (0, 3, 4, 10, len(data) - 1):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError):
             load_table(str(path))
@@ -215,17 +277,16 @@ def test_cache_rejects_truncation(tmp_path):
 
 @pytest.mark.parametrize("nbytes", [1 << 62, (1 << 63) + 5, 2**32, None])
 def test_cache_rejects_value_length_past_the_end(tmp_path, nbytes):
-    """A value's length field is never trusted past the file's end: a huge
-    length raises ``ValueError`` before anything of that size is read, as
-    does one byte more than is left (``None``)."""
+    """A version-1 cache whose first value's length field runs past the
+    file's end (by one byte for ``None``) is refused by its header: no
+    stored length is read any more."""
     path = tmp_path / "table.bin"
-    save_table(build_table(4), str(path))
-    data = bytearray(path.read_bytes())
-    at = _entry_offset(data, 0, 0) - 8
+    data = bytearray(_version_1_bytes(build_table(4)))
+    at = 20 + 8  # the first value's length, after row 0's entry count
     left = len(data) - at - 8
     data[at : at + 8] = struct.pack("<Q", left + 1 if nbytes is None else nbytes)
     path.write_bytes(data)
-    with pytest.raises(ValueError, match="truncated inversion-table cache"):
+    with pytest.raises(ValueError, match="unsupported cache format version 1;"):
         load_table(str(path))
 
 
@@ -262,13 +323,32 @@ def test_table_cells_counts_the_stored_entries():
     assert table_cells(100_000, 10**9) > 10**13
 
 
+def test_table_bytes_bounds_a_built_tables_memory():
+    """The estimate is above the memory a built table holds, and the bound
+    lets through the tables in use while it refuses whole heads near the
+    middle budget past n = 400 at once."""
+    for max_n, m_cap in [(30, None), (60, None), (60, 400), (120, 50)]:
+        tracemalloc.start()
+        table = build_table(max_n, m_cap)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert held < table_bytes(max_n, m_cap) < 4 * held, (max_n, m_cap)
+        del table
+    for max_n, m_cap in [(300, None), (2000, 1000), (500, 2120), (200, 9950), (150, 5589)]:
+        assert table_bytes(max_n, m_cap) <= counting.MAX_TABLE_BYTES
+    for max_n, m_cap in [(400, 39_900), (500, 62_375), (1000, 249_750), (600, None)]:
+        assert table_bytes(max_n, m_cap) > counting.MAX_TABLE_BYTES
+        with pytest.raises(ValueError, match="may take"):
+            build_table(max_n, m_cap)
+
+
 def test_build_refuses_oversize_table_before_allocating(monkeypatch):
-    with pytest.raises(ValueError, match=f"has {table_cells(100_000)} cells"):
+    with pytest.raises(ValueError, match=re.escape(f"may take {table_bytes(100_000):.3g} bytes")):
         build_table(100_000)
-    with pytest.raises(ValueError, match="above 10000000"):
+    with pytest.raises(ValueError, match="above 2e\\+09"):
         build_table(100_000, m_cap=10**9)
     # the limit is checked before the first row is filled
-    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(12, 20) - 1)
+    monkeypatch.setattr(counting, "MAX_TABLE_BYTES", table_bytes(12, 20) - 1)
     monkeypatch.setattr(counting, "accumulate", None)
     with pytest.raises(ValueError, match="max_n=12, m_cap=20"):
         build_table(12, m_cap=20)
@@ -281,7 +361,7 @@ def test_grown_table_equals_a_fresh_build(m_cap):
     ``build_table``; the mirrored entries are shared as in a built table."""
     table = build_table(3, m_cap=m_cap)
     for max_n in [5, 5, 9, 4, 14, 15, 22]:
-        counting._grow_table(table, max_n)
+        table.grow(max_n)
         expected = max(max_n, table.max_n)
         assert table.max_n == expected
         assert table._rows == build_table(expected, m_cap=m_cap)._rows
@@ -292,13 +372,13 @@ def test_grown_table_equals_a_fresh_build(m_cap):
 
 
 def test_grow_refuses_oversize_before_allocating(monkeypatch):
-    """A grow past ``MAX_TABLE_CELLS`` raises before the first new row is
+    """A grow past ``MAX_TABLE_BYTES`` raises before the first new row is
     filled and leaves the table as it was."""
     table = build_table(8, m_cap=20)
     rows = list(table._rows)
-    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(12, 20) - 1)
+    monkeypatch.setattr(counting, "MAX_TABLE_BYTES", table_bytes(12, 20) - 1)
     monkeypatch.setattr(counting, "accumulate", None)
     with pytest.raises(ValueError, match="max_n=12, m_cap=20"):
-        counting._grow_table(table, 12)
+        table.grow(12)
     assert table.max_n == 8 and table._rows == rows
-    counting._grow_table(table, 8)  # already held: nothing to fill
+    table.grow(8)  # already held: nothing to fill

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
-from invperm.counting import _grow_table, build_table, max_inversions
+from invperm.counting import build_table, max_inversions
 from invperm.coupling import (
     BetaTable,
     ChainState,
@@ -448,7 +448,7 @@ def test_beta_table_reads_levels_the_table_gains():
     table = build_table(6)
     betas = BetaTable(table)
     run_chain(6, 10, SamplerContext(table, 1), betas=betas)
-    _grow_table(table, 9)
+    table.grow(9)
     x = (0, 1, 2, 0, 3, 1, 4, 2, 5)
     fresh = BetaTable(build_table(9))
     assert _stops(x, sum(x), betas) == _stops(x, sum(x), fresh)

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from invperm import counting
-from invperm.counting import build_table, max_inversions, table_cells
+from invperm.counting import build_table, max_inversions, table_bytes
 from invperm.coupling import enumerate_inversion_sequences
 from invperm.limits import alpha_for_mu
 from invperm.permutations import decomposition_points
@@ -955,11 +955,11 @@ def test_head_table_is_gone_with_its_last_sampler():
 
 def test_refused_head_grow_leaves_the_shared_table(monkeypatch):
     """A sampler whose head would grow the shared table past
-    ``MAX_TABLE_CELLS`` is refused before any row is filled, and the
+    ``MAX_TABLE_BYTES`` is refused before any row is filled, and the
     table keeps its rows for the samplers that hold it."""
     held = SplitSampler(2_000, 777, head_size=50)  # capped at 777
     rows = list(held.table._rows)
-    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", table_cells(70, 777) - 1)
+    monkeypatch.setattr(counting, "MAX_TABLE_BYTES", table_bytes(70, 777) - 1)
     monkeypatch.setattr(counting, "accumulate", None)
     with pytest.raises(ValueError, match="max_n=70, m_cap=777"):
         SplitSampler(2_000, 777, head_size=70)
