@@ -9,10 +9,8 @@ laws.
 from .counting import (
     InversionTable,
     build_table,
-    load_table,
     mahonian_polynomial,
     max_inversions,
-    save_table,
 )
 from .coupling import (
     BetaTable,

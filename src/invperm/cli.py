@@ -1,13 +1,12 @@
 """Command-line interface.
 
-Subcommands: ``count``, ``table``, ``blocks``, ``invseq``, ``sample``,
-``chain``, ``rho``, ``params``, ``census``.  Every subcommand exits with 2
-on bad input: :func:`main` turns a ``ValueError`` or an ``OSError`` into
-one ``invperm <command>: <message>`` line on stderr.  ``count`` prints 0
-for an m outside 0..C(n,2) without building a table.  ``table`` writes a
-cache that names (max_n, m_cap) and ``count --table`` builds that table
-again; it exits with 2 on an unreadable cache, as ``chain`` does for n
-above ``CHAIN_MAX_N``, before it builds its count table.  ``census`` exits with 1
+Subcommands: ``count``, ``blocks``, ``invseq``, ``sample``, ``chain``,
+``rho``, ``params``, ``census``.  Every subcommand exits with 2 on bad
+input: :func:`main` turns a ``ValueError`` or an ``OSError`` into one
+``invperm <command>: <message>`` line on stderr.  ``count`` prints 0 for an
+m outside 0..C(n,2) without building a table.  ``sample``, ``chain`` and
+``census`` refuse a negative seed, and ``chain`` an n above
+``CHAIN_MAX_N``, before they build anything.  ``census`` exits with 1
 when its report, judged by ``experiments.judge``, has not passed.  Writing
 into a closed stdout (``... | head -1``) exits quietly with 141, as SIGPIPE would.
 """
@@ -45,28 +44,11 @@ def _parse_ints(text: str) -> list[int]:
 def _cmd_count(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    top = counting.max_inversions(args.n)
-    m = min(args.m, top - args.m)  # s(n, m) = s(n, C(n,2) - m)
-    if args.table:
-        try:
-            table = counting.load_table(args.table)
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"cannot read table cache: {exc}") from exc
-        if not table.covers(args.n, min(args.m, top)):
-            raise ValueError("cache does not cover the request")
-    elif m >= 0:
-        table = counting.build_table(args.n, m_cap=m)
-    else:  # m outside 0..C(n,2): no permutation, and no table to build
+    m = min(args.m, counting.max_inversions(args.n) - args.m)  # s(n, m) = s(n, C(n,2) - m)
+    if m < 0:  # m outside 0..C(n,2): no permutation, and no table to build
         print(0)
-        return 0
-    print(table.count(args.n, m))
-    return 0
-
-
-def _cmd_table(args) -> int:
-    table = counting.build_table(args.max_n, m_cap=args.m_cap)
-    counting.save_table(table, args.out)
-    print(f"wrote table max_n={args.max_n} to {args.out}")
+    else:
+        print(counting.build_table(args.n, m_cap=m).count(args.n, m))
     return 0
 
 
@@ -104,6 +86,8 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--m must lie in 0..{top}")
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     sampler = SplitSampler(args.n, args.m)
     for i in range(args.count):
         _emit_sample(sampler.sample(SamplerContext(None, args.seed, (i,))).tolist(), args.format)
@@ -120,6 +104,8 @@ def _emit_sample(x: list[int], fmt: str) -> None:
 def _cmd_chain(args) -> int:
     if not 1 <= args.n <= CHAIN_MAX_N:
         raise ValueError(f"--n must lie in 1..{CHAIN_MAX_N}")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     cap = min(max(args.to, 0), counting.max_inversions(args.n) // 2) + 2
     table = counting.build_table(args.n, m_cap=cap)
     ctx = SamplerContext(table, args.seed, (0,))
@@ -190,14 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="print s(n, m)")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--table", help="binary table cache to read")
     p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("table", help="build and cache a count table")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--m-cap", type=int, default=None, dest="m_cap")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("blocks", help="block boundaries and sizes as JSON")
     p.add_argument("--perm", required=True, help='e.g. "2,4,1,3,5,8,6,7"')

@@ -292,8 +292,7 @@ def load_table(path: str) -> InversionTable:
         raise ValueError(f"truncated inversion-table cache: {len(data)} of 20 header bytes")
     _, version, max_n, cap = _HEADER.unpack_from(data)
     if version != _FORMAT_VERSION:
-        hint = "; re-run `invperm table` to write it again" if version == 1 else ""
-        raise ValueError(f"unsupported cache format version {version}{hint}")
+        raise ValueError(f"unsupported cache format version {version}")
     if len(data) > _HEADER.size:
         raise ValueError("inversion-table cache has bytes past its 20-byte header")
     return build_table(max_n, None if cap == _UNCAPPED else cap)

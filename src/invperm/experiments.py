@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         cpus = os.cpu_count() or 1
         if not 1 <= self.parallelism <= cpus:
             raise ValueError(f"parallelism must lie in 1..{cpus} (the CPU count)")
@@ -692,10 +694,12 @@ def run_census(cfg: ExperimentConfig) -> Report:
     """Measure, :func:`judge`, and write the report as JSON (and a block
     census's rows as CSV, each under its point's index) to
     ``<out_dir>/<mode>_n<n>_seed<seed>``, n and seed as reported, when cfg
-    names an ``out_dir``: what ``invperm census`` does."""
-    report = judge(RUNNERS[cfg.mode](cfg))
+    names an ``out_dir``: what ``invperm census`` does.  The directory is
+    made first, so one that cannot be made is refused before any trial."""
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
+    report = judge(RUNNERS[cfg.mode](cfg))
+    if cfg.out_dir is not None:
         stem = os.path.join(cfg.out_dir, f"{cfg.mode}_n{report.n}_seed{report.seed}")
         with open(stem + ".json", "w") as fh:
             fh.write(report.to_json(deterministic=False))

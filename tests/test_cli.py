@@ -17,112 +17,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_count_and_table_cache(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "count", "4", "2")
-    assert code == 0 and out.strip() == "5"
-
-    cache = str(tmp_path / "t.bin")
-    code, out, _ = run_cli(capsys, "table", "--max-n", "10", "--out", cache)
-    assert code == 0
-
-    code, out, _ = run_cli(capsys, "count", "10", "20", "--table", cache)
-    assert code == 0
-    from invperm.counting import build_table
-
-    assert out.strip() == str(build_table(10).count(10, 20))
-
-    code, _, err = run_cli(capsys, "count", "99", "5", "--table", cache)
-    assert code == 2 and "cover" in err
-
-
-def test_count_rejects_truncated_cache(tmp_path, capsys):
-    cache = tmp_path / "t.bin"
-    code, _, _ = run_cli(capsys, "table", "--max-n", "10", "--out", str(cache))
-    assert code == 0
-    cache.write_bytes(cache.read_bytes()[:-5])
-    code, out, err = run_cli(capsys, "count", "10", "20", "--table", str(cache))
-    assert code == 2 and out == "" and "truncated" in err
-    code, _, err = run_cli(capsys, "count", "4", "2", "--table", str(tmp_path / "no"))
-    assert code == 2 and "cannot read" in err
-
-
-def _hand_made_cache(tmp_path, change_row_6):
-    """Try to save build_table(8) with row 6 changed; returns the path."""
-    from invperm.counting import InversionTable, build_table, save_table
-
-    rows = [list(row) for row in build_table(8)._rows]
-    change_row_6(rows[6])
-    cache = tmp_path / "bad.bin"
-    with pytest.raises(ValueError, match="rows differ from build_table"):
-        save_table(InversionTable(rows), str(cache))
-    return cache
-
-
-def test_count_rejects_cache_with_short_row(tmp_path, capsys):
-    """A table with a short row is refused at save, so no cache holds it
-    and ``count`` finds none."""
-    cache = _hand_made_cache(tmp_path, lambda row: row.__delitem__(slice(-3, None)))
-    code, out, err = run_cli(capsys, "count", "6", "15", "--table", str(cache))
-    assert code == 2 and out == "" and not cache.exists()
-    assert err.startswith("invperm count: cannot read table cache: [Errno 2]")
-
-
-def test_count_rejects_cache_whose_row_halves_differ(tmp_path, capsys):
-    cache = _hand_made_cache(tmp_path, lambda row: row.__setitem__(13, row[13] + 1))
-    code, out, err = run_cli(capsys, "count", "6", "2", "--table", str(cache))
-    assert code == 2 and out == "" and not cache.exists()
-    assert err.startswith("invperm count: cannot read table cache: [Errno 2]")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("nbytes", [1 << 62, (1 << 63) + 5])
-def test_count_rejects_cache_with_value_length_past_the_end(tmp_path, capsys, nbytes):
-    """A version-1 cache, which stored every count, is refused by its
-    header; a huge value length in it is never read."""
-    import struct
-
-    cache = tmp_path / "bad.ivtb"
-    header = struct.pack("<4sIIQ", b"IVTB", 1, 4, (1 << 64) - 1)
-    cache.write_bytes(header + struct.pack("<QQ", 1, nbytes) + b"\x01")
-    code, out, err = run_cli(capsys, "count", "4", "2", "--table", str(cache))
-    assert code == 2 and out == ""
-    assert err == (
-        "invperm count: cannot read table cache: unsupported cache format version 1; "
-        "re-run `invperm table` to write it again\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        (b"NOPE" + bytes(16), "not an inversion-table cache (magic b'NOPE')"),
-        (b"IVTB\x02\x00", "truncated inversion-table cache: 6 of 20 header bytes"),
-        ("header", "bytes past its 20-byte header"),
-        ("oversized", "table max_n=1000, m_cap=None may take"),
-    ],
-    ids=["magic", "short", "long", "oversized"],
-)
-def test_count_rejects_unreadable_cache(tmp_path, capsys, monkeypatch, data, message):
-    """Each unreadable cache gives one error line and exit 2; an oversized
-    header builds nothing."""
-    import struct
-
-    from invperm import cli
-
-    cache = tmp_path / "t.bin"
-    assert run_cli(capsys, "table", "--max-n", "10", "--out", str(cache))[0] == 0
-    if data == "header":
-        data = cache.read_bytes() + b"\x00"
-    elif data == "oversized":
-        data = struct.pack("<4sIIQ", b"IVTB", 2, 1000, (1 << 64) - 1)
-    cache.write_bytes(data)
-    monkeypatch.setattr(cli.counting, "accumulate", None)  # no row may be filled
-    code, out, err = run_cli(capsys, "count", "10", "20", "--table", str(cache))
-    assert code == 2 and out == ""
-    assert err.startswith("invperm count: cannot read table cache: ")
-    assert message in err and err.count("\n") == 1
-
-
 def test_count_outside_the_range_prints_0_without_a_table(capsys, monkeypatch):
     """s(n, m) = 0 for m outside 0..C(n,2) is printed without building a
     table, and an m past C(n,2)/2 builds the table capped at C(n,2) - m."""
@@ -139,9 +33,39 @@ def test_count_outside_the_range_prints_0_without_a_table(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.counting, "build_table", lambda n, m_cap: caps.append(m_cap) or build_table(n, m_cap)
     )
-    for m, expected in [(45, "1"), (44, "9"), (20, "230131"), (25, "230131")]:
-        assert run_cli(capsys, "count", "10", str(m)) == (0, expected + "\n", "")
-    assert caps == [0, 1, 20, 20]
+    for n, m, expected in [
+        (10, 45, "1"), (10, 44, "9"), (10, 20, "230131"), (10, 25, "230131"), (4, 2, "5")
+    ]:
+        assert run_cli(capsys, "count", str(n), str(m)) == (0, expected + "\n", "")
+    assert caps == [0, 1, 20, 20, 2]
+
+
+@pytest.mark.parametrize("argv", ["table --max-n 5 --out x", "count 10 20 --table x"])
+def test_removed_cache_commands_exit_2_through_argparse(argv, capsys, tmp_path, monkeypatch):
+    """``invperm table`` and ``count --table`` are gone: argparse refuses
+    them with its usage line, and no file is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: invperm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_examples_parse():
+    """Every ``invperm ...`` line of README's CLI block names a command
+    and flags the parser has."""
+    import shlex
+
+    from invperm.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("invperm ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_blocks_json(capsys):
@@ -462,7 +386,6 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
     [
         "sample --n 0 --m 0",
         "count 0 0",
-        "table --max-n 0 --out F",
         "params --n 2 --mu 0",
         "blocks --perm 1,1",
         "invseq --to-perm 0,5",
@@ -470,13 +393,11 @@ def test_census_config_errors_exit_2(capsys, tmp_path):
         "rho --n 1 --m 0",
         "rho --n 4 --m 99",
         "count 100000 1000000000",
-        "table --max-n 100000 --out F",
         "census --n 60",
         "census --config missing.json",
         "params --n 1000 --mu inf",
         "params --n 1000 --mu nan",
         "census --n 1000 --mode components --mu inf --trials 2",
-        "table --max-n 5 --out no/such/dir/x",
         "census --mode monotonicity --n 1",
     ],
 )
@@ -506,6 +427,46 @@ def test_sample_rejects_count_below_1(count, capsys):
     code, out, err = run_cli(capsys, "sample", "--n", "5", "--m", "3", "--count", count)
     assert code == 2 and out == ""
     assert err == "invperm sample: --count must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("sample --n 2000 --m 1000 --seed -1", "--seed must be >= 0"),
+        ("chain --n 6 --to 9 --seed -1", "--seed must be >= 0"),
+        ("census --n 100000 --mode components --mu 0 --trials 2 --seed -1", "seed must be >= 0"),
+    ],
+    ids=["sample", "chain", "census"],
+)
+def test_negative_seed_is_refused_before_anything_is_built(argv, message, capsys, monkeypatch):
+    from invperm import cli, experiments
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the seed was checked")
+
+    monkeypatch.setattr(cli, "SplitSampler", built)
+    monkeypatch.setattr(experiments, "SplitSampler", built)
+    monkeypatch.setattr(cli.counting, "build_table", built)
+    words = argv.split()
+    assert run_cli(capsys, *words) == (2, "", f"invperm {words[0]}: {message}\n")
+
+
+def test_census_out_that_cannot_be_made_exits_2_before_any_trial(capsys, tmp_path, monkeypatch):
+    from invperm import experiments
+
+    def trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the output directory was made")
+
+    monkeypatch.setattr(experiments, "_trial_chunk", trial)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "out")
+    code, stdout, err = run_cli(
+        capsys, "census", "--n", "1000", "--mode", "components", "--mu", "0", "--trials", "2",
+        "--out", out,
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("invperm census: [Errno 20] Not a directory")
+    assert err.count("\n") == 1
 
 
 def test_census_marked_window_longer_than_the_rest_exits_2(capsys):
