@@ -217,9 +217,22 @@ class BlockDecomposition:
 
 
 def blocks_from_inversion_sequence(x: Sequence[int]) -> BlockDecomposition:
-    n = len(x)
-    cuts = decomposition_points(x)
-    return BlockDecomposition(tuple([0] + cuts + [n]))
+    """Blocks of the permutation whose inversion sequence is x; an empty x,
+    or one with an x_i outside 0..i-1, raises ``ValueError``.
+
+    >>> blocks_from_inversion_sequence([0, 0, 2, 0, 1, 2, 0, 1, 4]).sizes
+    (3, 6)
+    """
+    a = np.asarray(x, dtype=np.int64)
+    n = len(a)
+    if n == 0:
+        raise ValueError("empty inversion sequence")
+    # as unsigned, a negative x_i is above every bound i-1 as well
+    bad = a.view(np.uint64) > np.arange(n, dtype=np.uint64)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"x[{i + 1}]={a[i]} violates 0 <= x_i <= i-1")
+    return BlockDecomposition((0, *decomposition_points(a), n))
 
 
 def blocks(perm: Sequence[int]) -> BlockDecomposition:

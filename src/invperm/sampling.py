@@ -24,6 +24,7 @@ Two engines, both exactly uniform on the target set:
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
 import threading
@@ -40,6 +41,9 @@ MAX_COMPOSITION_SLOTS = 1 << 28
 # consecutive rejected proposals after which ``SplitSampler.sample`` gives
 # up; the default head size rejects about one proposal in a hundred
 MAX_RESTARTS = 10_000
+# mantissa bits of the bounds a SplitSampler places its block draws by; a
+# draw falls between the bounds of a base with probability about 2**-120
+BOUND_BITS = 128
 # each thread's draw scratch: a bar mask (all False between draws) and a
 # parts array, as long as the largest draw or SplitSampler made in it
 _scratch = threading.local()
@@ -73,6 +77,40 @@ def _head_table(rows: int, m_cap: int | None) -> InversionTable:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _scaled(x: int, shift: int, up: bool) -> int:
+    """x * 2**shift rounded down to an integer, or up when ``up``."""
+    if shift >= 0:
+        return x << shift
+    return -(-x >> -shift) if up else x >> -shift
+
+
+def _running_products(factors: list[int], bits: int | None, up: bool) -> list[tuple[int, int]]:
+    """1, f_0, f_0 f_1, ... as (mantissa, exponent) pairs, each mantissa
+    rounded down (up when ``up``) to ``bits`` bits after its product; with
+    ``bits`` None nothing is rounded."""
+    out = [(1, 0)]
+    for f in factors:
+        p, e = out[-1]
+        p *= f
+        drop = 0 if bits is None else p.bit_length() - bits
+        if drop > 0:
+            p, e = _scaled(p, -drop, up), e + drop
+        out.append((p, e))
+    return out
+
+
+def _locate(bounds, u: int) -> int | None:
+    """The last b with base b <= u, the base after the last block being
+    sum W, so b is the block whose range of W holds u, or the block count
+    when u >= sum W; None when ``bounds`` (from
+    ``SplitSampler._block_bounds``) cannot tell.  Every base lies between
+    its bounds, so b lies between the two bisections."""
+    shift, lows, highs = bounds
+    top = u >> shift
+    b = bisect.bisect_right(lows, top) - 1
+    return b if b == bisect.bisect_right(highs, top) - 1 else None
 
 
 def sample_inversion_sequence(n: int, m: int, ctx: SamplerContext) -> list[int]:
@@ -191,10 +229,17 @@ class SplitSampler:
 
         P = prod_{j<a0}(m-j) * prod_{a1-1<=j<a_max}(m-j+K-1)
 
-    times a short local weight.  A draw picks block b by an exact uniform
-    u below sum W, then a by an exact uniform v below the block's local
-    total acc_b; P cancels from (P * acc_b / sum W) * (local(a) / acc_b),
-    so a block keeps only a0 and its local prefix sums.
+    times a short local weight.  A draw picks block b with probability
+    P * acc_b / sum W, acc_b the block's local total, then a by an exact
+    uniform v below acc_b; P cancels from (P * acc_b / sum W) *
+    (local(a) / acc_b), so a block keeps only a0 and its local prefix sums.
+    The block draw is a uniform u below sum W by rejection from
+    2**bits, bits = (sum W - 1).bit_length(), placed among the block bases
+    (the sums of W before each block).  The build keeps only bounds on
+    those bases and on sum W, from the recurrence for P run on 128-bit
+    mantissas rounded down and up, so it forms no full-width product; a u
+    between the bounds of a base or of sum W (probability about 2**-120)
+    is placed by the exact bases, built once on first need and kept.
 
     A tail is kept iff each x_{c+i} <= c+i-1; the bounds rise from c, so
     only the parts before index max(tail) - c are checked, against no
@@ -243,54 +288,93 @@ class SplitSampler:
                 f"{slots} slots, above {MAX_COMPOSITION_SLOTS}"
             )
         self.table = _head_table(c, None if mw >= max_inversions(c) else mw)
-        a_max = min(max_inversions(c), mw)
-        self._bases, self._blocks, self._total = self._weight_blocks(
-            a_max, mw, self._tail_parts
-        )
+        self._blocks = self._weight_blocks(min(max_inversions(c), mw), mw, self._tail_parts)
+        self._bounds = self._block_bounds(BOUND_BITS)
+        self._exact = None
+        shift, lows, highs = self._bounds
+        bits = shift + (lows[-1] - 1).bit_length()
+        if bits != shift + (highs[-1] - 1).bit_length():
+            bits = (self._exact_bounds()[1][-1] - 1).bit_length()
+        self._span = 1 << bits
         self.restarts = 0
         _scratch_array("mask", max(slots, 0), bool)  # grown here, not mid-draw: fewer page faults
 
-    def _weight_blocks(self, a_max: int, m: int, parts: int):
-        """Per block, the exact sum of W before it, and (a0, local prefix
-        sums); and sum W."""
+    def _weight_blocks(self, a_max: int, m: int, parts: int) -> list[tuple[int, list[int]]]:
+        """Per block, its first head sum a0 and its exact local prefix sums."""
         # Block [a0, a1) has big factor P (see the class docstring) and
         # local weights W(a) / P = s(c, a) * L(a), where
         #   L(a) = prod_{a0<=j<a}(m-j) * prod_{a<=j<a1-1}(m-j+K-1),
-        # so L(a+1) = L(a) // (m-a+K-1) * (m-a) is exact, as is the step
-        # to the next block's P, which trades the factors m-j+K-1 it now
-        # holds locally for the factors m-j this block held.
+        # so L(a+1) = L(a) // (m-a+K-1) * (m-a) is exact.
         if parts == 0:  # a whole head: the point mass at a = m
-            return [0], [(m, [1])], 1
-        up = [m - j for j in range(a_max)]
-        down = [m - j + parts - 1 for j in range(a_max)]
+            return [(m, [1])]
         heads = self.table.counts(self.head_size, 0, a_max)
         width = math.isqrt(a_max) + 1
-        ends = [*range(width, a_max + 1, width), a_max + 1]
-        factor = math.prod(down[ends[0] - 1 :])
-        base = 0
-        bases, blocks = [], []
-        a0 = 0
-        for a1, after in zip(ends, [*ends[1:], None]):
-            local = math.prod(down[a0 : a1 - 1])
+        blocks = []
+        for a0 in range(0, a_max + 1, width):
+            a1 = min(a0 + width, a_max + 1)
+            local = math.prod(range(m - a1 + parts + 1, m - a0 + parts))
             sums = []
             acc = 0
             for a in range(a0, a1):
                 acc += next(heads) * local
                 sums.append(acc)
                 if a < a1 - 1:
-                    local = local // down[a] * up[a]
-            bases.append(base)
+                    local = local // (m - a + parts - 1) * (m - a)
             blocks.append((a0, sums))
-            base += factor * acc
-            if after is not None:
-                factor = factor // math.prod(down[a1 - 1 : after - 1]) * math.prod(up[a0:a1])
-            a0 = a1
-        return bases, blocks, base
+        return blocks
+
+    def _block_bounds(self, bits: int | None):
+        """(shift, lows, highs): base b, the sum of W before block b, lies
+        in [lows[b], highs[b]] * 2**shift, for b = 0 up to the block count,
+        whose base is sum W.  Block b weighs P_b * acc_b with
+        P_b = prod_{j<a0}(m-j) * prod_{a1-1<=j<a_max}(m-j+K-1); both
+        products are run block by block on mantissas of ``bits`` bits,
+        rounded down for the lows and up for the highs, so no full-width
+        product is formed.  With ``bits`` None nothing is rounded: shift is
+        0 and lows = highs are the exact bases."""
+        m, k1 = self._m_work, self._tail_parts - 1
+        starts = [a0 for a0, _ in self._blocks]
+        cuts = [a0 + len(sums) - 1 for a0, sums in self._blocks]  # a1 - 1
+        ups = [math.prod(range(m - a + 1, m - a0 + 1)) for a0, a in zip(starts, starts[1:])]
+        downs = [math.prod(range(m + k1 - d + 1, m + k1 - d0 + 1)) for d0, d in zip(cuts, cuts[1:])]
+        sides = []
+        for up in (False, True):
+            pre = _running_products(ups, bits, up)
+            suf = _running_products(downs[::-1], bits, up)[::-1]
+            sides.append([
+                (p * q * sums[-1], e + f)
+                for (p, e), (q, f), (_, sums) in zip(pre, suf, self._blocks)
+            ])
+        # the largest upper block weight keeps ``bits`` bits above the shift
+        shift = 0 if bits is None else max(0, max(w.bit_length() + e for w, e in sides[1]) - bits)
+        lows, highs = (
+            list(itertools.accumulate((_scaled(w, e - shift, up) for w, e in side), initial=0))
+            for up, side in zip((False, True), sides)
+        )
+        return shift, lows, highs
+
+    def _exact_bounds(self):
+        """``_block_bounds(None)``, built on first use and kept."""
+        if self._exact is None:
+            self._exact = self._block_bounds(None)
+        return self._exact
 
     def _head_sum(self, ctx: SamplerContext) -> int:
         """A head sum a drawn with probability W(a) / sum W: a block by its
-        total, then a by its local weight in the block."""
-        b = bisect.bisect_right(self._bases, ctx.uniform_below(self._total)) - 1
+        total, then a by its local weight in the block.
+
+        The block is drawn by rejection: u uniform below 2**bits, where
+        bits = (sum W - 1).bit_length(), is kept iff u < sum W, which reads
+        the bytes ``uniform_below(sum W)`` would.  The bounds place u; only
+        a u between the bounds of a base or of sum W is placed by the exact
+        bases."""
+        while True:
+            u = ctx.uniform_below(self._span)
+            b = _locate(self._bounds, u)
+            if b is None:
+                b = _locate(self._exact_bounds(), u)
+            if b < len(self._blocks):
+                break
         a0, sums = self._blocks[b]
         return a0 + bisect.bisect_right(sums, ctx.uniform_below(sums[-1]))
 

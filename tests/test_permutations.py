@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -301,6 +302,40 @@ def test_blocks_examples():
     assert decomposition.block_count == 3
     assert blocks((1, 2, 3, 4, 5)).sizes == (1, 1, 1, 1, 1)
     assert blocks((5, 4, 3, 2, 1)).sizes == (5,)
+
+
+def test_blocks_from_inversion_sequence_matches_blocks():
+    """On a list or an int64 array, the blocks of an inversion sequence are
+    those of its permutation."""
+    assert blocks_from_inversion_sequence(PAPER_SEQ).boundaries == (0, 3, 9)
+    x = inversion_sequence(BLOCK_PERM)
+    assert blocks_from_inversion_sequence(np.asarray(x)) == blocks(BLOCK_PERM)
+    assert blocks_from_inversion_sequence([0]).sizes == (1,)
+
+
+def test_blocks_from_inversion_sequence_refuses_empty_input():
+    """An empty sequence has no blocks, as ``blocks(())`` refuses too;
+    it was one block of size 0."""
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        with pytest.raises(ValueError, match="empty inversion sequence"):
+            blocks_from_inversion_sequence(empty)
+    with pytest.raises(ValueError):
+        blocks(())
+
+
+@pytest.mark.parametrize(
+    "x,bad",
+    [([0, 5, 0], "x[2]=5"), ([1], "x[1]=1"), ([0, 1, -1], "x[3]=-1"), ([0, 0, 3, 0], "x[3]=3")],
+    ids=["x2=5", "x1=1", "x3=-1", "x3=3"],
+)
+def test_blocks_from_inversion_sequence_refuses_entries_outside_the_bounds(x, bad):
+    """An x_i outside 0..i-1 is refused with the message of
+    ``permutation_from_inversion_sequence``, which refuses it too; [0, 5, 0]
+    gave boundaries (0, 2, 3)."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} violates 0 <= x_i <= i-1$"):
+        blocks_from_inversion_sequence(x)
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        permutation_from_inversion_sequence(x)
 
 
 def test_is_indecomposable_examples():

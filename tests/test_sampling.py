@@ -18,6 +18,7 @@ from scipy import stats
 from invperm import counting
 from invperm.counting import build_table, max_inversions, table_bytes
 from invperm.coupling import enumerate_inversion_sequences
+from invperm.experiments import ExperimentConfig, run_component_census
 from invperm.limits import alpha_for_mu
 from invperm.permutations import decomposition_points
 from invperm import sampling
@@ -148,19 +149,22 @@ def test_walk_is_a_bijection_from_one_draw(n):
 
 def test_one_uniform_draw_per_walk(monkeypatch):
     """A walker draw makes one ``uniform_below`` call; a split-sampler
-    draw makes three per proposal (block, head sum in it, head walk)."""
+    draw makes three per proposal (block, head sum in it, head walk), and
+    one more per block draw u >= sum W, which the exact bases reject."""
     calls = []
     uniform_below = SamplerContext.uniform_below
 
     def spy(self, bound):
-        calls.append(bound)
-        return uniform_below(self, bound)
+        value = uniform_below(self, bound)
+        calls.append((bound, value))
+        return value
 
     monkeypatch.setattr(SamplerContext, "uniform_below", spy)
     for n, m in [(12, 0), (12, 20), (12, 50), (12, 66)]:
         calls.clear()
         sample_inversion_sequence(n, m, ctx(5, n, m))
         assert len(calls) == 1
+    exact = SPLIT60._block_bounds(None)
     accepted = 0
     for t in range(20):
         calls.clear()
@@ -168,7 +172,11 @@ def test_one_uniform_draw_per_walk(monkeypatch):
         SPLIT60.sample(SamplerContext(None, 6, (t,)))
         proposals = 1 + SPLIT60.restarts - before
         accepted += proposals == 1
-        assert len(calls) == 3 * proposals
+        rejected = sum(
+            bound == SPLIT60._span and sampling._locate(exact, u) == len(SPLIT60._blocks)
+            for bound, u in calls
+        )
+        assert len(calls) == 3 * proposals + rejected
     assert accepted
 
 
@@ -470,21 +478,27 @@ class _Scripted:
 def _check_two_stage_head_sum(sampler, every_u=False):
     """The two-stage draw has the law W(a) / sum W, W from the product form.
 
-    Data: the blocks tile 0..a_max in order and, with T_b the block's
-    share of sum W and acc_b its local total, T_b * local(a) = W(a) * acc_b
-    for every a in block b, so (T_b / sum W) * (local(a) / acc_b) =
-    W(a) / sum W.  Lookup: u - 1, u and u + 1 at every block base (every u
-    when ``every_u``) reach the block whose range of W holds u, and v at 0,
-    at acc_b - 1 and at each local prefix sum and one below it reach the a
-    whose local prefix sums hold v, both drawn below the bounds the law
-    needs."""
+    Data: the exact bases (``_block_bounds(None)``, no rounding) tile
+    0..a_max in order and, with T_b the block's share of sum W and acc_b
+    its local total, T_b * local(a) = W(a) * acc_b for every a in block b,
+    so (T_b / sum W) * (local(a) / acc_b) = W(a) / sum W.  Lookup: each
+    block draw is u below 2**bits, bits = (sum W - 1).bit_length(); u - 1,
+    u and u + 1 at every block base (every u when ``every_u``) reach the
+    block whose range of W holds u, a u in [sum W, 2**bits) is rejected
+    and the next u drawn, and v at 0, at acc_b - 1 and at each local
+    prefix sum and one below it reach the a whose local prefix sums hold
+    v, all drawn below the bounds the law needs."""
     cums = _product_form_cumsums(sampler)
     weights = [hi - lo for lo, hi in zip([0, *cums], cums)]
-    total = sampler._total
-    assert total == cums[-1] and sampler._bases[0] == 0
-    ends = [*sampler._bases[1:], total]
+    shift, bases, highs = sampler._block_bounds(None)
+    assert shift == 0 and highs == bases
+    *bases, total = bases
+    assert total == cums[-1] and bases[0] == 0
+    span = 1 << (total - 1).bit_length()
+    assert sampler._span == span
+    ends = [*bases[1:], total]
     a = 0
-    for base, end, (a0, sums) in zip(sampler._bases, ends, sampler._blocks):
+    for base, end, (a0, sums) in zip(bases, ends, sampler._blocks):
         assert a0 == a and len(sums) >= 1
         for local in (hi - lo for lo, hi in zip([0, *sums], sums)):
             assert (end - base) * local == weights[a] * sums[-1]
@@ -492,59 +506,234 @@ def _check_two_stage_head_sum(sampler, every_u=False):
     assert a == len(cums)
 
     def block_of(u):
-        return sum(base <= u for base in sampler._bases) - 1
+        return sum(base <= u for base in bases) - 1
 
     us = range(total) if every_u else {
-        u for base in [*sampler._bases, total] for u in (base - 1, base, base + 1)
+        u for base in [*bases, total] for u in (base - 1, base, base + 1)
         if 0 <= u < total
     }
     for u in us:
         b = block_of(u)
         a0, sums = sampler._blocks[b]
         draw = _Scripted(u, 0)
-        assert sampler._head_sum(draw) == a0 and draw.bounds == [total, sums[-1]]
-    for base, (a0, sums) in zip(sampler._bases, sampler._blocks):
+        assert sampler._head_sum(draw) == a0 and draw.bounds == [span, sums[-1]]
+    for rejected in {u for u in (total, total + 1, span - 1) if total <= u < span}:
+        for u in {0, total - 1}:
+            a0, sums = sampler._blocks[block_of(u)]
+            draw = _Scripted(rejected, u, 0)
+            assert sampler._head_sum(draw) == a0 and draw.bounds == [span, span, sums[-1]]
+    for base, (a0, sums) in zip(bases, sampler._blocks):
         vs = {0, sums[-1] - 1} | {s + d for s in sums[:-1] for d in (-1, 0)}
         for v in vs:
             assert sampler._head_sum(_Scripted(base, v)) == a0 + bisect.bisect_right(sums, v)
 
 
-@pytest.mark.parametrize(
-    "n,m,head",
-    [
-        (5, 4, 2),
-        (6, 13, 3),  # reflected
-        (6, 15, 3),  # reflected to budget 0
-        (12, 0, None),
-        (60, 150, None),
-        (50, 1100, None),  # reflected
-        (300, 44_000, None),  # reflected
-        (20_000, 123_456, None),
-        (30, 100, 20),  # head sums up to the whole budget
-    ],
-)
+HEAD_SUM_CASES = [
+    (5, 4, 2),
+    (6, 13, 3),  # reflected
+    (6, 15, 3),  # reflected to budget 0
+    (12, 0, None),  # a_max = 0
+    (60, 150, None),
+    (50, 1100, None),  # reflected
+    (300, 44_000, None),  # reflected
+    (20_000, 123_456, None),
+    (30, 100, 20),  # head sums up to the whole budget
+]
+# n = 10^5, mu = -1, 0, 1 with the default heads (51, 56, 60), and mu = 0
+# with a longer head (66), with their block counts
+CENSUS_HEAD_SUM_CASES = [
+    (704_118, None, 36),
+    (764_911, None, 39),
+    (764_911, 66, 46),
+    (825_704, None, 42),
+]
+
+
+@pytest.mark.parametrize("n,m,head", HEAD_SUM_CASES)
 def test_weight_cumsums_match_product_form(n, m, head):
-    """The stored blocks give each head sum its product-form weight's share
+    """The exact blocks give each head sum its product-form weight's share
     of sum W, and the lookup reaches it: every u when sum W is small,
     otherwise u - 1, u and u + 1 at every block base."""
     sampler = SplitSampler(n, m, head_size=head)
-    _check_two_stage_head_sum(sampler, every_u=sampler._total <= 20_000)
+    _check_two_stage_head_sum(sampler, every_u=sampler._block_bounds(None)[1][-1] <= 20_000)
 
 
 def test_head_sum_exact_around_every_prefix_sum_at_census_size():
-    """At n = 10^5, mu = -1, 0, 1 with the default heads (51, 56, 60), and
-    at mu = 0 with a longer head (66), block factors of about 30 to 41 kbit
-    cancel exactly from the two-stage law, and u - 1, u and u + 1 at every
-    block base reach the right block."""
-    for m, head, blocks in [
-        (704_118, None, 36),
-        (764_911, None, 39),
-        (764_911, 66, 46),
-        (825_704, None, 42),
-    ]:
+    """At the census points, block factors of about 30 to 41 kbit cancel
+    exactly from the two-stage law, and u - 1, u and u + 1 at every block
+    base reach the right block."""
+    for m, head, blocks in CENSUS_HEAD_SUM_CASES:
         sampler = SplitSampler(100_000, m, head_size=head)
         assert len(sampler._blocks) == blocks
         _check_two_stage_head_sum(sampler)
+
+
+@pytest.mark.parametrize(
+    "n,m,head",
+    [
+        *HEAD_SUM_CASES,
+        *((100_000, m, head) for m, head, _ in CENSUS_HEAD_SUM_CASES),
+        (10, 20, None),  # a whole head
+    ],
+)
+def test_block_bounds_bracket_the_exact_bases(n, m, head):
+    """The rounded bounds a sampler keeps hold every exact block base and
+    sum W between them, give the bit length of sum W - 1, are short, and
+    are the exact values when those are short; a whole head is one block
+    of total 1."""
+    sampler = SplitSampler(n, m, head_size=head)
+    shift, lows, highs = sampler._bounds
+    _, bases, _ = sampler._block_bounds(None)
+    assert len(lows) == len(highs) == len(bases) == len(sampler._blocks) + 1
+    for lo, base, hi in zip(lows, bases, highs):
+        assert lo << shift <= base <= hi << shift
+    total = bases[-1]
+    assert sampler._span == 1 << (total - 1).bit_length()
+    if total.bit_length() <= sampling.BOUND_BITS:
+        assert (shift, lows, highs) == (0, bases, bases)
+    else:
+        # the largest block weight has BOUND_BITS bits above the shift
+        assert highs[-1].bit_length() <= sampling.BOUND_BITS + len(lows).bit_length()
+    if head is None and n == 10:
+        assert sampler._blocks == [(m, [1])] and total == 1 and sampler._span == 1
+
+
+@pytest.mark.parametrize(
+    "n,m,head", [(60, 150, None), (20_000, 123_456, None), (100_000, 764_911, None)]
+)
+def test_u_between_the_bounds_is_placed_by_the_exact_bases(monkeypatch, n, m, head):
+    """A block draw u that the rounded bounds cannot place (it lies between
+    the bounds of a base or of sum W) is placed by the exact bases, which
+    are built once and kept: the exact block, or a rejection when
+    u >= sum W, then the next u."""
+    sampler = SplitSampler(n, m, head_size=head)
+    shift, lows, highs = sampler._bounds
+    assert shift > 0 and sampler._exact is None
+    exact = sampler._block_bounds(None)
+    bases = exact[1]
+    total = bases[-1]
+    span = sampler._span
+    runs = []
+    block_bounds = sampler._block_bounds
+
+    def spy(bits):
+        runs.append(bits)
+        return block_bounds(bits)
+
+    monkeypatch.setattr(sampler, "_block_bounds", spy)
+    placed = 0
+    for lo, base, hi in zip(lows[1:], bases[1:], highs[1:]):
+        assert lo < hi
+        start, stop = lo << shift, min(hi << shift, span)
+        for u in {u for u in (start, base - 1, base, stop - 1) if start <= u < stop}:
+            assert sampling._locate(sampler._bounds, u) is None
+            b = sampling._locate(exact, u)
+            assert b == sum(x <= u for x in bases) - 1
+            if u < total:
+                draw = _Scripted(u, 0)
+            else:
+                draw = _Scripted(u, 0, 0)
+                assert b == len(sampler._blocks)
+                b = 0
+            assert sampler._head_sum(draw) == sampler._blocks[b][0]
+            assert draw.bounds == [span] * (1 + (u >= total)) + [sampler._blocks[b][1][-1]]
+            placed += 1
+    assert placed > 2 * len(lows) and runs == [None]
+    assert sampler._exact == exact
+
+
+def test_locate_decides_only_what_its_bounds_prove():
+    """For block weights 5, 3 and 7 (bases 0, 5, 8 and sum 15), every
+    nondecreasing bound tuple whose rounded bases and sum lie 0 or 1 unit of
+    2**shift outside the floor and ceiling of the exact ones, shift 0..2,
+    places each u below 16 as the exact bases do (3, the block count, for
+    u >= 15), or returns None; the exact bases, shift 0, place every u."""
+    bases = [0, 5, 8, 15]
+
+    def exact(u):
+        return sum(base <= u for base in bases) - 1
+
+    undecided = 0
+    for shift in range(3):
+        unit = 1 << shift
+        for d in itertools.product(range(2), repeat=6):
+            lows = [0, *(base // unit - e for base, e in zip(bases[1:], d))]
+            highs = [0, *(-(-base // unit) + e for base, e in zip(bases[1:], d[3:]))]
+            if lows != sorted(lows) or highs != sorted(highs) or lows[1] < 0:
+                continue
+            for u in range(16):
+                b = sampling._locate((shift, lows, highs), u)
+                assert b in (None, exact(u))
+                undecided += b is None
+                if shift == 0 and not any(d):
+                    assert b == exact(u)
+    assert undecided
+
+
+@pytest.mark.parametrize("bits", [1, 8])
+def test_loose_bounds_give_the_same_draws(monkeypatch, bits):
+    """With bounds of 1 or 8 bits, so loose that the exact bases place many
+    block draws and may give the bit length of sum W - 1, every draw and
+    the generator's next raw output are those of 128-bit bounds."""
+    cases = [(60, 150, None), (300, 44_000, None), (30, 100, 20), (20_000, 123_456, None)]
+    tight = [SplitSampler(n, m, head_size=head) for n, m, head in cases]
+    monkeypatch.setattr(sampling, "BOUND_BITS", bits)
+    loose = [SplitSampler(n, m, head_size=head) for n, m, head in cases]
+    for pair in zip(tight, loose):
+        for t in range(15):
+            draws = []
+            for sampler in pair:
+                caller = SamplerContext(None, 47, (sampler.n, t))
+                draws.append((sampler.sample(caller).tolist(), caller.generator.bit_generator.random_raw()))
+            assert draws[0] == draws[1]
+    assert all(sampler._exact is not None for sampler in loose)
+
+
+def test_census_draws_never_need_the_exact_bases(monkeypatch):
+    """300 census trials, 100 at each of the three census points, place
+    every block draw by the rounded bounds: the exact bases are never
+    built."""
+    runs = []
+    block_bounds = SplitSampler._block_bounds
+
+    def spy(self, bits):
+        runs.append(bits)
+        return block_bounds(self, bits)
+
+    monkeypatch.setattr(SplitSampler, "_block_bounds", spy)
+    cfg = ExperimentConfig(
+        n=100_000, mode="components", trials=100, seed=41, mu_list=[-1.0, 0.0, 1.0]
+    )
+    report = run_component_census(cfg)
+    assert [sum(point.histogram.values()) for point in report.points] == [100] * 3
+    assert runs == [sampling.BOUND_BITS] * 3
+
+
+def test_head_sums_follow_the_exact_law_through_the_generator():
+    """20 000 head sums at (10^5, 764 911), drawn through the real
+    generator, against the exact law W(a) / sum W: a chi-squared test over
+    runs of consecutive head sums pooled to an expected count of at least
+    5 each, kept when its p-value is above PVAL_FLOOR (1e-4)."""
+    sampler = SplitSampler(100_000, 764_911)
+    cums = _product_form_cumsums(sampler)
+    draws = 20_000
+    caller = SamplerContext(None, 43, (764_911,))
+    seen = Counter(sampler._head_sum(caller) for _ in range(draws))
+    observed, expected = [], []
+    held, count = 0, 0
+    for a, (lo, hi) in enumerate(zip([0, *cums], cums)):
+        held += (hi - lo) * draws / cums[-1]
+        count += seen.pop(a, 0)
+        if held >= 5:
+            observed.append(count)
+            expected.append(held)
+            held, count = 0, 0
+    observed[-1] += count
+    expected[-1] += held
+    assert not seen  # every head sum drawn is one of 0..a_max
+    assert len(observed) >= 100
+    chisq = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert stats.chi2.sf(chisq, df=len(observed) - 1) > PVAL_FLOOR
 
 
 class _InterruptedGenerator:
