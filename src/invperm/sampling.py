@@ -232,8 +232,10 @@ class SplitSampler:
     times a short local weight.  A draw picks block b with probability
     P * acc_b / sum W, acc_b the block's local total, then a by an exact
     uniform v below acc_b; P cancels from (P * acc_b / sum W) *
-    (local(a) / acc_b), so a block keeps only a0 and its local prefix sums.
-    The block draw is a uniform u below sum W by rejection from
+    (local(a) / acc_b), so a build keeps per block only a0, a1 and acc_b,
+    from one Horner pass with no division.  A block's local prefix sums
+    are built on the first draw that lands in it, checked against acc_b
+    and kept.  The block draw is a uniform u below sum W by rejection from
     2**bits, bits = (sum W - 1).bit_length(), placed among the block bases
     (the sums of W before each block).  The build keeps only bounds on
     those bases and on sum W, from the recurrence for P run on 128-bit
@@ -246,11 +248,12 @@ class SplitSampler:
     stored array of bounds.
 
     A head of length n is the case K = 0: W(a) = s(n, a) * C(m-a-1, -1) is
-    a point mass at a = m, the one block (m, [1]) of total 1, so a draw
+    a point mass at a = m, the one block (m, m + 1) of total 1, so a draw
     reads no bits for the head sum, rejects nothing, and is the walker's.
     Draws use the drawing thread's scratch, which a build grows and which is
     held until the thread ends: threads may draw at once, though
-    ``restarts`` is exact only when one thread draws.
+    ``restarts`` is exact only when one thread draws.  Two threads may
+    build one block's prefix sums at once; both store equal lists.
 
     The head table holds rows 1..c of s(k, a), whole when the budget
     reaches C(c,2) and otherwise capped at the budget.  Those rows do not
@@ -288,7 +291,9 @@ class SplitSampler:
                 f"{slots} slots, above {MAX_COMPOSITION_SLOTS}"
             )
         self.table = _head_table(c, None if mw >= max_inversions(c) else mw)
-        self._blocks = self._weight_blocks(min(max_inversions(c), mw), mw, self._tail_parts)
+        a_max = min(max_inversions(c), mw)
+        self._blocks, self._ups = self._weight_blocks(a_max, mw, self._tail_parts)
+        self._sums = [None] * len(self._blocks)
         self._bounds = self._block_bounds(BOUND_BITS)
         self._exact = None
         shift, lows, highs = self._bounds
@@ -299,29 +304,59 @@ class SplitSampler:
         self.restarts = 0
         _scratch_array("mask", max(slots, 0), bool)  # grown here, not mid-draw: fewer page faults
 
-    def _weight_blocks(self, a_max: int, m: int, parts: int) -> list[tuple[int, list[int]]]:
-        """Per block, its first head sum a0 and its exact local prefix sums."""
+    def _weight_blocks(
+        self, a_max: int, m: int, parts: int
+    ) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """Per block, (a0, a1, its exact local total), and per block but the
+        last, prod_{a0<=j<a1}(m-j), the step of P's first product; both from
+        one pass over the head sums, with no division and no prefix sums."""
         # Block [a0, a1) has big factor P (see the class docstring) and
         # local weights W(a) / P = s(c, a) * L(a), where
         #   L(a) = prod_{a0<=j<a}(m-j) * prod_{a<=j<a1-1}(m-j+K-1),
-        # so L(a+1) = L(a) // (m-a+K-1) * (m-a) is exact.
+        # so its total is a Horner sum with no division: with
+        # f = prod_{a0<=j<a}(m-j), q <- q*(m-a+K) + s(c, a)*f after
+        # f <- f*(m-a+1).
         if parts == 0:  # a whole head: the point mass at a = m
-            return [(m, [1])]
+            return [(m, m + 1, 1)], []
         heads = self.table.counts(self.head_size, 0, a_max)
         width = math.isqrt(a_max) + 1
-        blocks = []
+        blocks, ups = [], []
         for a0 in range(0, a_max + 1, width):
             a1 = min(a0 + width, a_max + 1)
-            local = math.prod(range(m - a1 + parts + 1, m - a0 + parts))
-            sums = []
-            acc = 0
-            for a in range(a0, a1):
-                acc += next(heads) * local
-                sums.append(acc)
-                if a < a1 - 1:
-                    local = local // (m - a + parts - 1) * (m - a)
-            blocks.append((a0, sums))
-        return blocks
+            q, f = next(heads), 1
+            for k, s in zip(range(m - a0, m - a1 + 1, -1), heads):  # k = m - a + 1
+                f *= k
+                q = q * (k + parts - 1) + s * f
+            blocks.append((a0, a1, q))
+            ups.append(f * (m - a1 + 1))
+        return blocks, ups[:-1]
+
+    def _local_sums(self, b: int) -> list[int]:
+        """Block b's exact local prefix sums, by the division recurrence
+        L(a+1) = L(a) // (m-a+K-1) * (m-a); raises unless they end at the
+        block's Horner total."""
+        a0, a1, total = self._blocks[b]
+        m, parts = self._m_work, self._tail_parts
+        if parts == 0:  # a whole head: the one block (m, m + 1, 1)
+            return [1]
+        heads = self.table.counts(self.head_size, a0, a1 - 1)
+        local = math.prod(range(m - a1 + parts + 1, m - a0 + parts))
+        sums, acc = [], 0
+        for a in range(a0, a1):
+            acc += next(heads) * local
+            sums.append(acc)
+            if a < a1 - 1:
+                local = local // (m - a + parts - 1) * (m - a)
+        if sums[-1] != total:
+            raise RuntimeError(f"SplitSampler(n={self.n}, m={self.m}): block {b} sums miss its total")
+        return sums
+
+    def _block_sums(self, b: int) -> list[int]:
+        """Block b's local prefix sums, built on the first draw that lands
+        in it and kept."""
+        if self._sums[b] is None:
+            self._sums[b] = self._local_sums(b)
+        return self._sums[b]
 
     def _block_bounds(self, bits: int | None):
         """(shift, lows, highs): base b, the sum of W before block b, lies
@@ -333,17 +368,15 @@ class SplitSampler:
         product is formed.  With ``bits`` None nothing is rounded: shift is
         0 and lows = highs are the exact bases."""
         m, k1 = self._m_work, self._tail_parts - 1
-        starts = [a0 for a0, _ in self._blocks]
-        cuts = [a0 + len(sums) - 1 for a0, sums in self._blocks]  # a1 - 1
-        ups = [math.prod(range(m - a + 1, m - a0 + 1)) for a0, a in zip(starts, starts[1:])]
+        cuts = [a1 - 1 for _, a1, _ in self._blocks]
         downs = [math.prod(range(m + k1 - d + 1, m + k1 - d0 + 1)) for d0, d in zip(cuts, cuts[1:])]
         sides = []
         for up in (False, True):
-            pre = _running_products(ups, bits, up)
+            pre = _running_products(self._ups, bits, up)
             suf = _running_products(downs[::-1], bits, up)[::-1]
             sides.append([
-                (p * q * sums[-1], e + f)
-                for (p, e), (q, f), (_, sums) in zip(pre, suf, self._blocks)
+                (p * q * total, e + f)
+                for (p, e), (q, f), (_, _, total) in zip(pre, suf, self._blocks)
             ])
         # the largest upper block weight keeps ``bits`` bits above the shift
         shift = 0 if bits is None else max(0, max(w.bit_length() + e for w, e in sides[1]) - bits)
@@ -361,7 +394,8 @@ class SplitSampler:
 
     def _head_sum(self, ctx: SamplerContext) -> int:
         """A head sum a drawn with probability W(a) / sum W: a block by its
-        total, then a by its local weight in the block.
+        total, then a by its local weight in the block, placed among the
+        block's local prefix sums (built on its first draw).
 
         The block is drawn by rejection: u uniform below 2**bits, where
         bits = (sum W - 1).bit_length(), is kept iff u < sum W, which reads
@@ -375,8 +409,8 @@ class SplitSampler:
                 b = _locate(self._exact_bounds(), u)
             if b < len(self._blocks):
                 break
-        a0, sums = self._blocks[b]
-        return a0 + bisect.bisect_right(sums, ctx.uniform_below(sums[-1]))
+        sums = self._block_sums(b)
+        return self._blocks[b][0] + bisect.bisect_right(sums, ctx.uniform_below(sums[-1]))
 
     def sample(self, ctx: SamplerContext) -> np.ndarray:
         """One exactly uniform inversion sequence, as an int64 array."""

@@ -475,6 +475,12 @@ class _Scripted:
         return value
 
 
+def _block(sampler, b):
+    """Block b's first head sum and its local prefix sums, read through the
+    lazy accessor (which builds them on first use)."""
+    return sampler._blocks[b][0], sampler._block_sums(b)
+
+
 def _check_two_stage_head_sum(sampler, every_u=False):
     """The two-stage draw has the law W(a) / sum W, W from the product form.
 
@@ -498,7 +504,8 @@ def _check_two_stage_head_sum(sampler, every_u=False):
     assert sampler._span == span
     ends = [*bases[1:], total]
     a = 0
-    for base, end, (a0, sums) in zip(bases, ends, sampler._blocks):
+    for b, (base, end) in enumerate(zip(bases, ends)):
+        a0, sums = _block(sampler, b)
         assert a0 == a and len(sums) >= 1
         for local in (hi - lo for lo, hi in zip([0, *sums], sums)):
             assert (end - base) * local == weights[a] * sums[-1]
@@ -513,16 +520,16 @@ def _check_two_stage_head_sum(sampler, every_u=False):
         if 0 <= u < total
     }
     for u in us:
-        b = block_of(u)
-        a0, sums = sampler._blocks[b]
+        a0, sums = _block(sampler, block_of(u))
         draw = _Scripted(u, 0)
         assert sampler._head_sum(draw) == a0 and draw.bounds == [span, sums[-1]]
     for rejected in {u for u in (total, total + 1, span - 1) if total <= u < span}:
         for u in {0, total - 1}:
-            a0, sums = sampler._blocks[block_of(u)]
+            a0, sums = _block(sampler, block_of(u))
             draw = _Scripted(rejected, u, 0)
             assert sampler._head_sum(draw) == a0 and draw.bounds == [span, span, sums[-1]]
-    for base, (a0, sums) in zip(bases, sampler._blocks):
+    for b, base in enumerate(bases):
+        a0, sums = _block(sampler, b)
         vs = {0, sums[-1] - 1} | {s + d for s in sums[:-1] for d in (-1, 0)}
         for v in vs:
             assert sampler._head_sum(_Scripted(base, v)) == a0 + bisect.bisect_right(sums, v)
@@ -574,6 +581,101 @@ def test_head_sum_exact_around_every_prefix_sum_at_census_size():
         *HEAD_SUM_CASES,
         *((100_000, m, head) for m, head, _ in CENSUS_HEAD_SUM_CASES),
         (10, 20, None),  # a whole head
+        (1, 0, None),  # a whole head with a_max = 0
+    ],
+)
+def test_block_totals_and_lazy_prefix_sums_match_the_local_weights(n, m, head):
+    """Each block's Horner total is sum s(c, a) * L(a) over its head sums,
+    L(a) = prod_{a0<=j<a}(m-j) * prod_{a<=j<a1-1}(m-j+K-1) formed here by
+    ``math.prod``; its step of P's first product is prod_{a0<=j<a1}(m-j);
+    no block's prefix sums exist after the build, and each, built on first
+    use and then kept, is the running sum of those local weights.  A whole
+    head is the one block (m, m + 1, 1) with prefix sums [1]."""
+    sampler = SplitSampler(n, m, head_size=head)
+    c, mw, parts = sampler.head_size, sampler._m_work, sampler._tail_parts
+    blocks = sampler._blocks
+    assert sampler._sums == [None] * len(blocks)
+    if parts == 0:
+        assert blocks == [(mw, mw + 1, 1)] and sampler._ups == []
+        assert sampler._block_sums(0) == [1]
+        return
+    assert [a0 for a0, _, _ in blocks] == [0, *(a1 for _, a1, _ in blocks[:-1])]
+    assert blocks[-1][1] == min(max_inversions(c), mw) + 1
+    assert sampler._ups == [math.prod(range(mw - a1 + 1, mw - a0 + 1)) for a0, a1, _ in blocks[:-1]]
+    for b, (a0, a1, total) in enumerate(blocks):
+        weights = [
+            sampler.table.count(c, a)
+            * math.prod(mw - j for j in range(a0, a))
+            * math.prod(mw - j + parts - 1 for j in range(a, a1 - 1))
+            for a in range(a0, a1)
+        ]
+        assert total == sum(weights)
+        sums = sampler._block_sums(b)
+        assert sums == list(itertools.accumulate(weights))
+        assert sampler._sums[b] is sums and sampler._block_sums(b) is sums
+
+
+def test_a_block_whose_sums_miss_its_total_raises_rather_than_draws():
+    """A block total off by one (injected after the build) makes the first
+    draw that lands in that block raise once its prefix sums are built,
+    before it draws the head sum inside the block, and keeps no sums."""
+    sampler = SplitSampler(60, 150)
+    bases = sampler._block_bounds(None)[1]
+    b = 1
+    a0, a1, total = sampler._blocks[b]
+    sampler._blocks[b] = (a0, a1, total + 1)
+    draw = _Scripted(bases[b], 0)
+    with pytest.raises(RuntimeError, match="block 1"):
+        sampler._head_sum(draw)
+    assert draw.bounds == [sampler._span] and draw.values == [0]
+    assert sampler._sums[b] is None
+    sampler._blocks[b] = (a0, a1, total)
+    assert sampler._head_sum(_Scripted(bases[b], 0)) == a0
+
+
+def test_census_builds_only_the_prefix_sums_its_draws_land_in(monkeypatch):
+    """300 census trials, 100 at each of the three census points: each
+    sampler starts with no block's prefix sums built, and a block's sums
+    are built exactly when a draw first lands in it, and only then."""
+    fresh, built, landed = [], [], []
+    init, local_sums, head_sum = (
+        SplitSampler.__init__, SplitSampler._local_sums, SplitSampler._head_sum
+    )
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fresh.append(self._sums == [None] * len(self._blocks))
+
+    def spy_local_sums(self, b):
+        built.append((self, b))
+        return local_sums(self, b)
+
+    def spy_head_sum(self, ctx):
+        a = head_sum(self, ctx)
+        landed.append((self, next(b for b, (a0, a1, _) in enumerate(self._blocks) if a0 <= a < a1)))
+        return a
+
+    monkeypatch.setattr(SplitSampler, "__init__", spy_init)
+    monkeypatch.setattr(SplitSampler, "_local_sums", spy_local_sums)
+    monkeypatch.setattr(SplitSampler, "_head_sum", spy_head_sum)
+    cfg = ExperimentConfig(
+        n=100_000, mode="components", trials=100, seed=41, mu_list=[-1.0, 0.0, 1.0]
+    )
+    report = run_component_census(cfg)
+    assert [sum(point.histogram.values()) for point in report.points] == [100] * 3
+    assert fresh == [True] * 3
+    keys = [(id(sampler), b) for sampler, b in built]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {(id(sampler), b) for sampler, b in landed}
+    assert len(landed) >= 300 and len(built) < len(landed)
+
+
+@pytest.mark.parametrize(
+    "n,m,head",
+    [
+        *HEAD_SUM_CASES,
+        *((100_000, m, head) for m, head, _ in CENSUS_HEAD_SUM_CASES),
+        (10, 20, None),  # a whole head
     ],
 )
 def test_block_bounds_bracket_the_exact_bases(n, m, head):
@@ -595,7 +697,8 @@ def test_block_bounds_bracket_the_exact_bases(n, m, head):
         # the largest block weight has BOUND_BITS bits above the shift
         assert highs[-1].bit_length() <= sampling.BOUND_BITS + len(lows).bit_length()
     if head is None and n == 10:
-        assert sampler._blocks == [(m, [1])] and total == 1 and sampler._span == 1
+        assert sampler._blocks == [(m, m + 1, 1)] and sampler._block_sums(0) == [1]
+        assert total == 1 and sampler._span == 1
 
 
 @pytest.mark.parametrize(
@@ -636,7 +739,7 @@ def test_u_between_the_bounds_is_placed_by_the_exact_bases(monkeypatch, n, m, he
                 assert b == len(sampler._blocks)
                 b = 0
             assert sampler._head_sum(draw) == sampler._blocks[b][0]
-            assert draw.bounds == [span] * (1 + (u >= total)) + [sampler._blocks[b][1][-1]]
+            assert draw.bounds == [span] * (1 + (u >= total)) + [sampler._block_sums(b)[-1]]
             placed += 1
     assert placed > 2 * len(lows) and runs == [None]
     assert sampler._exact == exact
@@ -769,15 +872,18 @@ def test_split_sampler_draw_after_an_interrupted_one_is_a_fresh_samplers():
 
 
 def test_split_sampler_draws_from_threads_at_once():
-    """Three threads drawing from one sampler at once each get, for every
-    (seed, stream), the draw of a sequential call, and leave their own
-    scratch mask all False."""
-    sampler = SplitSampler(20_000, 120_000)
+    """Three threads drawing from one fresh sampler at once, so racing on
+    its first block prefix sums, each get, for every (seed, stream), the
+    draw of a sequential call to another sampler, leave their own scratch
+    mask all False, and leave built the prefix sums that sampler built."""
+    reference = SplitSampler(20_000, 120_000)
     streams = {k: [(37 + k, (k, t)) for t in range(12)] for k in range(3)}
     expected = {
-        k: [sampler.sample(SamplerContext(None, seed, s)).tolist() for seed, s in keys]
+        k: [reference.sample(SamplerContext(None, seed, s)).tolist() for seed, s in keys]
         for k, keys in streams.items()
     }
+    sampler = SplitSampler(20_000, 120_000)
+    assert sampler._sums == [None] * len(sampler._blocks)  # threads race on the first builds
     got, clean = {}, {}
     start = threading.Barrier(len(streams))
 
@@ -799,6 +905,7 @@ def test_split_sampler_draws_from_threads_at_once():
     assert not any(thread.is_alive() for thread in threads)
     assert got == expected
     assert clean == dict.fromkeys(streams, True)
+    assert sampler._sums == reference._sums
 
 
 def _traced_growth(build):
