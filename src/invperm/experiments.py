@@ -14,15 +14,16 @@ The statistics use numpy and ``math`` alone.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
 import os
-import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import numpy as np
@@ -104,9 +105,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        cpus = os.cpu_count() or 1
+        cpus = _usable_cpus()
         if not 1 <= self.parallelism <= cpus:
-            raise ValueError(f"parallelism must lie in 1..{cpus} (the CPU count)")
+            raise ValueError(f"parallelism must lie in 1..{cpus}, the CPUs this process may use")
         if self.mode == "monotonicity":
             if not 2 <= self.n <= 9:
                 raise ValueError(f"monotonicity mode needs 2 <= n <= 9; got n={self.n}")
@@ -156,6 +157,12 @@ class ExperimentConfig:
                 raise ValueError(
                     f"marked mode takes one point (one --mu or --m); got {len(points)}"
                 )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set, where the OS has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _is_int(value) -> bool:
@@ -288,15 +295,14 @@ def _start(cfg: ExperimentConfig, mode: str) -> float:
     cfg.validate()
     if cfg.mode != mode:
         raise ValueError(f"config mode must be {mode!r}")
-    return time.time()
+    return time.perf_counter()
 
 
 @dataclass
 class SamplerStats:
-    """How a census point's ``SplitSampler`` ran: its head size, the
-    proposals it rejected (summed over chunks and worker processes), its
-    build time in seconds (the slowest worker's) and its acceptance rate,
-    trials / (trials + restarts)."""
+    """How a census point's samplers ran, one per chunk: the head size, the
+    proposals rejected (summed over chunks), the build time in seconds (the
+    slowest chunk's) and the acceptance rate, trials / (trials + restarts)."""
 
     head_size: int
     restarts: int
@@ -304,64 +310,38 @@ class SamplerStats:
     acceptance: float
 
 
-# The trials' sampler and stream keys: set once per worker process, or
-# in-process for the length of one ``_run_trials`` call, per thread, so
-# censuses run from several threads at once keep their own.
-_WORKER = threading.local()
-
-
-def _worker_init(n: int, m: int, seed: int, key: int) -> None:
+def _worker_init(n: int, m: int):
+    """One chunk's ``SplitSampler(n, m)`` and its build time in seconds; a
+    refused (n, m) raises ``ValueError``.  Named for the benchmark's tracer,
+    which wraps this module global, so a chunk calls it through the module."""
     t0 = time.perf_counter()
-    try:
-        _WORKER.sampler = SplitSampler(n, m)
-    except ValueError as exc:  # each chunk raises it: a raising initializer breaks the pool
-        _WORKER.sampler = exc
-    _WORKER.build_s = time.perf_counter() - t0
-    _WORKER.seed = seed
-    _WORKER.key = key
+    sampler = SplitSampler(n, m)
+    return sampler, time.perf_counter() - t0
 
 
-def _trial_chunk(trial_range: tuple[int, int]):
-    """Per trial: the block count and the smallest, largest, first and last
-    block size (a summary, not the sizes, which number up to n per trial);
-    and the sampler's head size, restarts in the chunk and build time."""
-    sampler = _WORKER.sampler
-    if isinstance(sampler, ValueError):  # refused in _worker_init
-        raise sampler
-    restarts = sampler.restarts
+def _trial_chunk(n: int, m: int, seed: int, key: int, trial_range: tuple[int, int]):
+    """Build a sampler and run the trials in ``trial_range``: per trial the
+    block count and the smallest, largest, first and last block size (not
+    the sizes, up to n per trial); and the sampler's head size, restarts and
+    build time.  The sampler is dropped on return, also when a trial raises."""
+    sampler, build_s = _worker_init(n, m)
     out = []
     for trial in range(*trial_range):
-        ctx = SamplerContext(None, _WORKER.seed, (_WORKER.key, trial))
-        sizes = np.diff([0, *decomposition_points(sampler.sample(ctx)), sampler.n])
+        ctx = SamplerContext(None, seed, (key, trial))
+        sizes = np.diff([0, *decomposition_points(sampler.sample(ctx)), n])
         out.append(
             (len(sizes), int(sizes.min()), int(sizes.max()), int(sizes[0]), int(sizes[-1]))
         )
-    return out, (sampler.head_size, sampler.restarts - restarts, _WORKER.build_s)
+    return out, (sampler.head_size, sampler.restarts, build_s)
 
 
-def _run_trials(cfg: ExperimentConfig, m: int, key: int):
-    """Run cfg.trials trials, optionally across processes; order-stable.
-    Returns the per-trial rows and the merged sampler diagnostics.  The
-    in-process sampler is dropped on return, also when a trial raises, so
-    no sampler outlives its census call."""
-    step = max(1, math.ceil(cfg.trials / max(1, cfg.parallelism * 4)))
+def _run_trials(cfg: ExperimentConfig, m: int, key: int, mapper):
+    """Run cfg.trials trials as cfg.parallelism ranges through ``mapper``
+    (``map`` or a process pool's ``map``), in order: the per-trial rows and
+    the merged sampler diagnostics."""
+    step = math.ceil(cfg.trials / cfg.parallelism)
     ranges = [(lo, min(cfg.trials, lo + step)) for lo in range(0, cfg.trials, step)]
-    if cfg.parallelism <= 1:
-        try:
-            _worker_init(cfg.n, m, cfg.seed, key)
-            chunks = [_trial_chunk(r) for r in ranges]
-        finally:
-            vars(_WORKER).clear()
-    else:
-        # imported here so an in-process run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=cfg.parallelism,
-            initializer=_worker_init,
-            initargs=(cfg.n, m, cfg.seed, key),
-        ) as pool:
-            chunks = list(pool.map(_trial_chunk, ranges))
+    chunks = list(mapper(partial(_trial_chunk, cfg.n, m, cfg.seed, key), ranges))
     heads, restarts, builds = zip(*(stats for _, stats in chunks))
     restarts = sum(restarts)
     merged = SamplerStats(heads[0], restarts, max(builds), cfg.trials / (cfg.trials + restarts))
@@ -420,16 +400,21 @@ class CensusReport(Report):
 
 
 def _sampling_census(cfg: ExperimentConfig, mode: str, make_point) -> CensusReport:
-    """Run each point's trials in turn; ``make_point(n, mu, m, rows, sampler)``
-    builds the point from them."""
+    """Run each point's trials in turn, through one process pool per run at
+    parallelism > 1; ``make_point(n, mu, m, rows, sampler)`` builds the point."""
     t0 = _start(cfg, mode)
     points = []
-    for key, (mu, m) in enumerate(cfg.resolved_points()):
-        rows, sampler = _run_trials(cfg, m, key)
-        points.append(make_point(cfg.n, mu, m, rows, sampler))
-    return CensusReport(
-        n=cfg.n, trials=cfg.trials, seed=cfg.seed, points=points, wall_seconds=time.time() - t0
-    )
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if cfg.parallelism > 1:
+            # imported here so an in-process run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            mapper = stack.enter_context(ProcessPoolExecutor(cfg.parallelism)).map
+        for key, (mu, m) in enumerate(cfg.resolved_points()):
+            points.append(make_point(cfg.n, mu, m, *_run_trials(cfg, m, key, mapper)))
+    wall = time.perf_counter() - t0
+    return CensusReport(n=cfg.n, trials=cfg.trials, seed=cfg.seed, points=points, wall_seconds=wall)
 
 
 def _component_point(n: int, mu, m: int, rows, sampler) -> CensusPoint:
@@ -547,13 +532,13 @@ def judge(report: Report) -> Report:
     out of ``passed``."""
     if not isinstance(report, CensusReport):
         return report
-    t0 = time.time()
+    t0 = time.perf_counter()
     judges = [_JUDGES[type(p)] for p in report.points]
     verdicts = [judge_point(report.n, p) for (judge_point, _), p in zip(judges, report.points)]
     reference = "; ".join(dict.fromkeys(ref for _, ref in judges))
     passed = all(all(v.ok.values()) for v in verdicts)
     report.judgement = Judgement(reference, dict(TOLERANCES), verdicts, passed)
-    report.wall_seconds += time.time() - t0
+    report.wall_seconds += time.perf_counter() - t0
     return report
 
 
@@ -593,7 +578,7 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
     """
     if not 2 <= n_max <= 9:
         raise ValueError(f"the exhaustive check needs 2 <= n_max <= 9; got {n_max}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected_totals = indecomposable_counts(n_max)
     p_table: dict[int, list[Fraction]] = {}
     nondec = True
@@ -626,7 +611,7 @@ def run_monotonicity_check(n_max: int) -> MonotonicityReport:
         nondecreasing_ok=nondec,
         domination_ok=dominated,
         totals_ok=totals_ok,
-        wall_seconds=time.time() - t0,
+        wall_seconds=time.perf_counter() - t0,
     )
 
 
@@ -686,7 +671,7 @@ def run_marked_vs_decomposition(cfg: ExperimentConfig) -> MarkedReport:
         agreement_frequency=agree / cfg.trials,
         inclusion_always=inclusion,
         close_pair_frequency=close / cfg.trials,
-        wall_seconds=time.time() - t0,
+        wall_seconds=time.perf_counter() - t0,
     )
 
 

@@ -483,6 +483,7 @@ def test_census_marked_with_two_points_exits_2(capsys):
     assert err == "invperm census: marked mode takes one point (one --mu or --m); got 2\n"
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_census_marked_refuses_parallelism_it_ignores(capsys):
     """The marked census runs serially, so a parallelism other than
     1 is refused by name rather than reported as if it ran."""
@@ -493,7 +494,7 @@ def test_census_marked_refuses_parallelism_it_ignores(capsys):
     assert err == "invperm census: marked mode runs serially; drop parallelism=2\n"
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for parallelism 2")
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize(
     "n, m, message",
     [

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -297,6 +298,7 @@ def test_component_census_conservation_and_report():
     assert "wall_seconds" not in payload
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_component_census_determinism_and_parallel_merge():
     cfg1 = _component_cfg(n=120, trials=60, mu_list=[0.0], seed=9)
     cfg2 = _component_cfg(n=120, trials=60, mu_list=[0.0], seed=9, parallelism=2)
@@ -309,16 +311,17 @@ def test_component_census_determinism_and_parallel_merge():
 
 def test_threaded_censuses_keep_their_own_worker_state(monkeypatch):
     """Two in-process censuses run from two threads at once each give the
-    JSON of their serial run: the trials' sampler and stream keys are per
-    thread.  Both threads build their samplers before either draws."""
+    JSON of their serial run: each call keeps its own sampler and stream
+    keys.  Both threads build their samplers before either draws."""
     cfgs = [_component_cfg(n=3000, trials=60, m_list=[m], seed=3) for m in (9000, 14000)]
     serial = [run_component_census(cfg).to_json() for cfg in cfgs]
     both_built = threading.Barrier(2, timeout=60)
     init = experiments._worker_init
 
     def init_then_wait(*args):
-        init(*args)
+        built = init(*args)
         both_built.wait()
+        return built
 
     monkeypatch.setattr(experiments, "_worker_init", init_then_wait)
     threaded = [None, None]
@@ -354,6 +357,7 @@ def test_census_outputs_pinned():
     )
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_census_points_report_sampler_diagnostics():
     """Each point states its sampler's head size, restarts, build time and
     acceptance rate; parallelism 1 and 2 give the same head size, restarts
@@ -504,6 +508,7 @@ def test_block_census_small_run():
         assert (int(sizes.min()), int(sizes.max())) == rows[trial][:2]
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_block_census_parallel_merge_is_byte_identical():
     def cfg(parallelism):
         return ExperimentConfig(
@@ -603,7 +608,7 @@ def test_config_validation_marked_takes_one_point():
 
 def test_config_validation_bounds_parallelism():
     """Checked by validate() alone; no worker process is started."""
-    cpus = os.cpu_count() or 1
+    cpus = experiments._usable_cpus()
     for bad in (0, -1, cpus + 1, 10**6):
         cfg = ExperimentConfig(
             n=100, mode="components", mu_list=[0.0], parallelism=bad
@@ -614,6 +619,63 @@ def test_config_validation_bounds_parallelism():
         ExperimentConfig(
             n=100, mode="components", mu_list=[0.0], parallelism=good
         ).validate()
+
+
+def test_config_validation_bounds_parallelism_by_cpu_affinity(monkeypatch):
+    """A process that may run on one CPU is refused parallelism 2, however
+    many CPUs the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg = ExperimentConfig(n=100, mode="components", mu_list=[0.0], parallelism=2)
+    with pytest.raises(ValueError, match=r"parallelism must lie in 1\.\.1,"):
+        cfg.validate()
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_parallel_census_starts_one_process_pool_per_run(monkeypatch):
+    """A three-point census at parallelism 2 starts one process pool for the
+    whole run, maps at most two trial ranges per point through it, and
+    reports what it reports at parallelism 1."""
+    import concurrent.futures
+
+    pools, ranges = [], []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(it) for it in iterables]
+            ranges.append(len(iterables[0]))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    cfg = _component_cfg(n=120, trials=30, mu_list=[-1.0, 0.0, 1.0], seed=6)
+    serial = run_component_census(cfg).to_json()
+    assert pools == [] and ranges == []
+    cfg.parallelism = 2
+    assert run_component_census(cfg).to_json() == serial
+    assert len(pools) == 1
+    assert len(ranges) == 3 and max(ranges) <= 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(n=300, mode="components", trials=6, mu_list=[0.0]),
+        dict(n=300, mode="blocks", trials=6, mu_list=[-3.0]),
+        dict(n=20_000, mode="marked", trials=6, mu_list=[-2.0]),
+        dict(n=4, mode="monotonicity"),
+    ],
+    ids=lambda fields: fields["mode"],
+)
+def test_wall_seconds_survive_a_wall_clock_stepped_back(monkeypatch, fields):
+    """``wall_seconds`` (measuring and judging) come from a monotonic clock:
+    a wall clock that steps back an hour at every read, as a clock
+    correction may, leaves them >= 0."""
+    clock = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    assert run_census(ExperimentConfig(**fields)).wall_seconds >= 0
 
 
 def test_report_files_written(tmp_path):
