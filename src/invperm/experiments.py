@@ -105,9 +105,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        cpus = _usable_cpus()
-        if not 1 <= self.parallelism <= cpus:
-            raise ValueError(f"parallelism must lie in 1..{cpus}, the CPUs this process may use")
         if self.mode == "monotonicity":
             if not 2 <= self.n <= 9:
                 raise ValueError(f"monotonicity mode needs 2 <= n <= 9; got n={self.n}")
@@ -125,6 +122,11 @@ class ExperimentConfig:
                     f"nothing; drop {', '.join(ignored)}"
                 )
             return
+        if self.mode == "marked" and self.parallelism != 1:
+            raise ValueError(f"marked mode runs serially; drop parallelism={self.parallelism}")
+        cpus = _usable_cpus()
+        if not 1 <= self.parallelism <= cpus:
+            raise ValueError(f"parallelism must lie in 1..{cpus}, the CPUs this process may use")
         if self.n < 4:
             raise ValueError("censuses need n >= 4")
         if not self.resolved_points():
@@ -143,8 +145,6 @@ class ExperimentConfig:
                         f"got m={m}" + ("" if mu is None else f" from mu={mu}")
                     )
         if self.mode == "marked":
-            if self.parallelism != 1:
-                raise ValueError(f"marked mode runs serially; drop parallelism={self.parallelism}")
             points = self.resolved_points()
             for _, m in points:
                 nu = threshold_params(self.n, m).nu

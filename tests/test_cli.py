@@ -483,7 +483,6 @@ def test_census_marked_with_two_points_exits_2(capsys):
     assert err == "invperm census: marked mode takes one point (one --mu or --m); got 2\n"
 
 
-@pytest.mark.usefixtures("two_cpus")
 def test_census_marked_refuses_parallelism_it_ignores(capsys):
     """The marked census runs serially, so a parallelism other than
     1 is refused by name rather than reported as if it ran."""

@@ -630,6 +630,18 @@ def test_config_validation_bounds_parallelism_by_cpu_affinity(monkeypatch):
         cfg.validate()
 
 
+def test_serial_modes_name_their_parallelism_refusal_on_one_cpu(monkeypatch):
+    """The marked and monotonicity modes refuse a parallelism other than 1
+    by their own name, before the CPU bound, also where one CPU is usable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    marked = ExperimentConfig(n=20000, mode="marked", mu_list=[-2.0], parallelism=2)
+    with pytest.raises(ValueError, match="^marked mode runs serially; drop parallelism=2$"):
+        marked.validate()
+    mono = ExperimentConfig(n=4, mode="monotonicity", parallelism=2)
+    with pytest.raises(ValueError, match="draws nothing; drop parallelism=2$"):
+        mono.validate()
+
+
 @pytest.mark.usefixtures("two_cpus")
 def test_parallel_census_starts_one_process_pool_per_run(monkeypatch):
     """A three-point census at parallelism 2 starts one process pool for the
