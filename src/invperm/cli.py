@@ -68,13 +68,9 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_invseq(args) -> int:
     if args.from_perm is not None:
-        perm = parse_one_line(args.from_perm)
-        print(",".join(str(v) for v in inversion_sequence(perm)))
+        print(format_one_line(inversion_sequence(parse_one_line(args.from_perm))))
     else:
-        x = _parse_ints(args.to_perm)
-        if not x:
-            raise ValueError("empty inversion sequence")
-        print(format_one_line(permutation_from_inversion_sequence(x)))
+        print(format_one_line(permutation_from_inversion_sequence(_parse_ints(args.to_perm))))
     return 0
 
 
@@ -90,15 +86,9 @@ def _cmd_sample(args) -> int:
         raise ValueError("--seed must be >= 0")
     sampler = SplitSampler(args.n, args.m)
     for i in range(args.count):
-        _emit_sample(sampler.sample(SamplerContext(None, args.seed, (i,))).tolist(), args.format)
+        x = sampler.sample(SamplerContext(None, args.seed, (i,)))
+        print(format_one_line(permutation_from_inversion_sequence(x) if args.format == "perm" else x))
     return 0
-
-
-def _emit_sample(x: list[int], fmt: str) -> None:
-    if fmt == "perm":
-        print(format_one_line(permutation_from_inversion_sequence(x)))
-    else:
-        print(",".join(str(v) for v in x))
 
 
 def _cmd_chain(args) -> int:
@@ -114,7 +104,7 @@ def _cmd_chain(args) -> int:
     if args.trace:
         for step, box in enumerate(trace, start=1):
             print(f"step {step}: +1 at coordinate {box}")
-    print(",".join(str(v) for v in state.x))
+    print(format_one_line(state.x))
     return 0
 
 

@@ -17,7 +17,7 @@ lengths).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -71,16 +71,7 @@ class ThresholdParams:
     regime: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "q": self.q,
-            "nu": self.nu,
-            "h": self.h,
-            "lambda": self.lam,
-            "regime": self.regime,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 def classify_regime(n: int, m: int) -> str:

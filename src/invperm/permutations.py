@@ -20,21 +20,37 @@ import numpy as np
 from .counting import max_inversions
 
 
-def validate_permutation(word: Sequence[int]) -> None:
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty permutation")
-    seen = [False] * (n + 1)
-    for v in word:
-        if not 1 <= v <= n or seen[v]:
-            raise ValueError(f"{tuple(word)} is not a permutation of 1..{n}")
-        seen[v] = True
+def _int64_array(seq: Sequence[int], kind: str) -> np.ndarray:
+    """seq as an int64 array; ``ValueError`` if it is empty, not 1-D, or not of
+    integers that fit int64 (a float or a bool array is refused, never cast)."""
+    a = np.asarray(seq)
+    if a.ndim != 1:
+        raise ValueError(f"{kind} must be a flat sequence, not a {a.ndim}-D array")
+    if len(a) == 0:
+        raise ValueError(f"empty {kind}")
+    if a.dtype.kind not in "iu" or a.dtype == np.uint64 and a.max() >= np.uint64(1 << 63):
+        raise ValueError(f"{kind} entries must be integers that fit int64, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
-def validate_inversion_sequence(x: Sequence[int]) -> None:
-    for i, v in enumerate(x, start=1):
-        if not 0 <= v <= i - 1:
-            raise ValueError(f"x[{i}]={v} violates 0 <= x_i <= i-1")
+def validate_permutation(word: Sequence[int]) -> np.ndarray:
+    """word as an int64 array if it holds 1..n once each, else ``ValueError``."""
+    a = _int64_array(word, "permutation")
+    if not np.array_equal(np.sort(a), np.arange(1, len(a) + 1)):
+        raise ValueError(f"{tuple(a.tolist())} is not a permutation of 1..{len(a)}")
+    return a
+
+
+def validate_inversion_sequence(x: Sequence[int]) -> np.ndarray:
+    """x as an int64 array (x itself if it is one) if 0 <= x_i <= i-1 for
+    every i, checked in one vectorized pass, else ``ValueError``."""
+    a = _int64_array(x, "inversion sequence")
+    # as unsigned, a negative x_i is above every bound i-1 as well
+    bad = a.view(np.uint64) > np.arange(len(a), dtype=np.uint64)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"x[{i + 1}]={a[i]} violates 0 <= x_i <= i-1")
+    return a
 
 
 def inversion_sequence(perm: Sequence[int]) -> list[int]:
@@ -49,7 +65,7 @@ def inversion_sequence(perm: Sequence[int]) -> list[int]:
     >>> inversion_sequence((2, 3, 1, 7, 6, 4, 9, 8, 5))
     [0, 0, 2, 0, 1, 2, 0, 1, 4]
     """
-    validate_permutation(perm)
+    perm = validate_permutation(perm).tolist()
     n = len(perm)
     free = list(range(1, n + 1))
     x = [0] * n
@@ -70,7 +86,7 @@ def permutation_from_inversion_sequence(x: Sequence[int]) -> tuple[int, ...]:
     >>> permutation_from_inversion_sequence([0, 0, 2, 0, 1, 2, 0, 1, 4])
     (2, 3, 1, 7, 6, 4, 9, 8, 5)
     """
-    validate_inversion_sequence(x)
+    x = validate_inversion_sequence(x).tolist()
     n = len(x)
     free = list(range(1, n + 1))
     word = [free.pop(t - v) for t, v in zip(range(n - 1, -1, -1), reversed(x))]
@@ -114,7 +130,7 @@ def permutation_graph_edges(perm: Sequence[int]) -> list[tuple[int, int]]:
     edge count equals the inversion number; intended for small-n
     validation, block statistics never need the explicit edge list.
     """
-    validate_permutation(perm)
+    perm = validate_permutation(perm).tolist()
     n = len(perm)
     pos = [0] * (n + 1)
     for i, v in enumerate(perm):
@@ -223,16 +239,8 @@ def blocks_from_inversion_sequence(x: Sequence[int]) -> BlockDecomposition:
     >>> blocks_from_inversion_sequence([0, 0, 2, 0, 1, 2, 0, 1, 4]).sizes
     (3, 6)
     """
-    a = np.asarray(x, dtype=np.int64)
-    n = len(a)
-    if n == 0:
-        raise ValueError("empty inversion sequence")
-    # as unsigned, a negative x_i is above every bound i-1 as well
-    bad = a.view(np.uint64) > np.arange(n, dtype=np.uint64)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"x[{i + 1}]={a[i]} violates 0 <= x_i <= i-1")
-    return BlockDecomposition((0, *decomposition_points(a), n))
+    a = validate_inversion_sequence(x)
+    return BlockDecomposition((0, *decomposition_points(a), len(a)))
 
 
 def blocks(perm: Sequence[int]) -> BlockDecomposition:
@@ -261,7 +269,7 @@ def psi(perm: Sequence[int]) -> tuple[int, ...]:
     block sizes in reverse order.
     """
     x = inversion_sequence(perm)
-    cuts = blocks_from_inversion_sequence(x).boundaries
+    cuts = (0, *decomposition_points(x), len(x))
     segments = [x[a:b] for a, b in zip(cuts, cuts[1:])]
     rebuilt: list[int] = []
     for seg in reversed(segments):

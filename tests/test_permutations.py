@@ -376,3 +376,101 @@ def test_psi_involution_and_invariants(seed, n):
     assert psi(image) == perm
     assert inversion_count(image) == inversion_count(perm)
     assert blocks(image).sizes == tuple(reversed(blocks(perm).sizes))
+
+
+SEQUENCE_FUNCTIONS = (
+    validate_inversion_sequence,
+    permutation_from_inversion_sequence,
+    blocks_from_inversion_sequence,
+    inversion_sequence,
+    blocks,
+    is_indecomposable,
+    psi,
+    permutation_graph_edges,
+)
+NUMPY_DTYPES = (
+    "int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64",
+    "float32", "float64", "bool", "object",
+)
+int_lists = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(list),
+    st.integers(1, 8).flatmap(lambda n: st.tuples(*(st.integers(0, i) for i in range(n)))).map(list),
+    st.lists(st.one_of(st.integers(-3, 9), st.integers(-(2**70), 2**70)), max_size=8),
+)
+
+
+@st.composite
+def sequence_inputs(draw):
+    """(an input, the int list it stands for, or None when it must be
+    refused) drawn from one int list in one of several forms."""
+    ints = draw(int_lists)
+    form = draw(st.sampled_from(("ints", "float", "half", "bools", "0-D", "2-D") + NUMPY_DTYPES))
+    if form == "ints":
+        return ints, ints
+    if form in ("float", "half"):  # x_{k+1} = k as a float, which fits its bound, or k + 0.5
+        k = draw(st.integers(0, len(ints)))
+        return ints[:k] + [k + (0.5 if form == "half" else 0.0)] + ints[k:], None
+    if form == "bools":
+        return [bool(v) if v in (0, 1) else v for v in ints], ints
+    if form == "0-D":
+        return np.array(ints[0] if ints else 0), None
+    if form == "2-D":
+        return np.array([ints, ints]), None
+    dtype = np.dtype(form)
+    if dtype.kind in "iu" and not all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in ints):
+        dtype = np.dtype(object)
+    a = np.array(ints, dtype=dtype)
+    return a, None if dtype.kind == "f" else [int(v) for v in a.tolist()]
+
+
+def outcome(fn, arg):
+    """repr of fn(arg), or ValueError if fn refuses arg; any other
+    exception escapes."""
+    try:
+        return repr(fn(arg))
+    except ValueError:
+        return ValueError
+
+
+@given(sequence_inputs())
+@settings(max_examples=400, deadline=None)
+def test_sequence_inputs_give_the_int_list_answer_or_value_error(drawn):
+    """Python ints (negative ones, ones past int64), floats, bools and numpy
+    arrays of any dtype or dimension give each function what the equal int
+    list gives, or ``ValueError``; a float entry is always refused, never
+    truncated, and no input raises another exception."""
+    arg, ints = drawn
+    for fn in SEQUENCE_FUNCTIONS:
+        got = outcome(fn, arg)
+        if ints is None:
+            assert got is ValueError, fn.__name__
+        else:
+            assert got in (outcome(fn, ints), ValueError), fn.__name__
+
+
+@pytest.mark.parametrize(
+    "fn,arg,message",
+    [
+        (blocks_from_inversion_sequence, [0, 0.5], "integers"),
+        (permutation_from_inversion_sequence, [0, 0.5], "integers"),
+        (permutation_from_inversion_sequence, [0, 1.0], "integers"),
+        (blocks_from_inversion_sequence, [0, 2**70], "fit int64"),
+        (blocks_from_inversion_sequence, np.array([0, 2**63], dtype=np.uint64), "fit int64"),
+        (permutation_from_inversion_sequence, [], "empty inversion sequence"),
+        (blocks_from_inversion_sequence, np.zeros((2, 2), dtype=np.int64), "flat sequence"),
+        *((fn, (1, 2.0), "integers") for fn in (inversion_sequence, blocks, psi, is_indecomposable, permutation_graph_edges)),
+    ],
+    ids=[
+        "blocks-half", "bijection-half", "bijection-integral-float", "blocks-2**70",
+        "blocks-uint64-2**63", "bijection-empty", "blocks-2d",
+        "inversion_sequence-float", "blocks-float", "psi-float", "is_indecomposable-float",
+        "graph_edges-float",
+    ],
+)
+def test_malformed_sequences_are_refused_with_value_error(fn, arg, message):
+    """Each was another outcome: [0, 0.5] gave boundaries (0, 1, 2) and a
+    ``TypeError`` from the bijection, [0, 2**70] an ``OverflowError``, []
+    the permutation (), a 2-D array an ``IndexError``, and a float entry in
+    a permutation a ``TypeError``."""
+    with pytest.raises(ValueError, match=message):
+        fn(arg)
