@@ -37,10 +37,6 @@ from .sampling import SplitSampler
 CHAIN_MAX_N = 150
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.replace(",", " ").split()]
-
-
 def _cmd_count(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
@@ -53,16 +49,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    perm = parse_one_line(args.perm)
-    decomposition = blocks(perm)
-    print(
-        json.dumps(
-            {
-                "boundaries": list(decomposition.boundaries),
-                "sizes": list(decomposition.sizes),
-            }
-        )
-    )
+    cuts = blocks(parse_one_line(args.perm))
+    print(json.dumps({"boundaries": list(cuts.boundaries), "sizes": list(cuts.sizes)}))
     return 0
 
 
@@ -70,7 +58,7 @@ def _cmd_invseq(args) -> int:
     if args.from_perm is not None:
         print(format_one_line(inversion_sequence(parse_one_line(args.from_perm))))
     else:
-        print(format_one_line(permutation_from_inversion_sequence(_parse_ints(args.to_perm))))
+        print(format_one_line(permutation_from_inversion_sequence(parse_one_line(args.to_perm))))
     return 0
 
 

@@ -39,7 +39,7 @@ from .limits import (
 )
 from .limits import alpha_for_mu as _alpha_for_mu
 from .limits import marked_points as _marked_points
-from .permutations import decomposition_points, enumerate_inversion_sequences
+from .permutations import decomposition_points, enumerate_inversion_sequences, validate_sequence
 from .rng import SamplerContext
 from .sampling import SplitSampler, sample_composition
 
@@ -173,13 +173,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _counts(hist) -> np.ndarray:
+    """A histogram of counts on 0, 1, ... (an array, or a dict keyed by integers) as floats."""
+    if isinstance(hist, dict):
+        hist = np.bincount(validate_sequence(list(hist)), weights=list(hist.values()))
+    return np.asarray(hist, dtype=float)
+
+
 def tv_to_law(hist, law) -> float:
     """Total variation between a histogram of counts on 0, 1, ... (a dict
     or an array) and a law on 0..len(law)-1: half the l1 gap, plus half the
     law's mass beyond len(law), counted as unmatched (an upper bound)."""
-    if isinstance(hist, dict):
-        hist = np.bincount(list(hist), weights=list(hist.values()))
-    counts = np.asarray(hist, dtype=float)
+    counts = _counts(hist)
     total = counts.sum()
     if total <= 0:
         raise ValueError("histogram is empty")
@@ -193,9 +198,9 @@ def tv_distance(hist, lam: float) -> float:
     :func:`tv_to_law` fed the Poisson pmf on the histogram's support."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    size = max(hist) + 1 if isinstance(hist, dict) else len(hist)
-    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    return tv_to_law(hist, np.exp(np.arange(size) * math.log(lam) - log_factorials - lam))
+    counts = _counts(hist)
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(len(counts))])
+    return tv_to_law(counts, np.exp(np.arange(len(counts)) * math.log(lam) - log_factorials - lam))
 
 
 def _ks_distance(sample, cdf) -> float:

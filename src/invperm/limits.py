@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import max_inversions
+from .permutations import validate_sequence
 
 # below n-1 edges the permutation graph cannot be connected; above
 # C(n-1,2) it cannot be disconnected
@@ -418,8 +419,9 @@ def marked_points(y: Sequence[int], nu: int) -> list[int]:
     [i, i+nu-1] is at least i.  Window minima come from prefix and suffix
     minima within aligned blocks of nu (van Herk 1992; Gil and Werman
     1993): a window is the suffix of one block plus the prefix of the
-    next, so the pass is O(len).
+    next, so the pass is O(len).  A y that is not of integers is refused.
     """
+    y = validate_sequence(y)
     length = len(y)
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -432,7 +434,7 @@ def marked_points(y: Sequence[int], nu: int) -> list[int]:
     # is padded to whole blocks, and no window reaches the padding
     span = limit + nu - 1
     slack = np.full(-(-span // nu) * nu, np.iinfo(np.int64).max, dtype=np.int64)
-    slack[:span] = np.arange(1, span + 1) - np.asarray(y[1 : span + 1], dtype=np.int64)
+    slack[:span] = np.arange(1, span + 1) - y[1 : span + 1]
     rows = slack.reshape(-1, nu)
     prefix = np.minimum.accumulate(rows, axis=1).ravel()
     suffix = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1].ravel()

@@ -20,31 +20,36 @@ import numpy as np
 from .counting import max_inversions
 
 
-def _int64_array(seq: Sequence[int], kind: str) -> np.ndarray:
-    """seq as an int64 array; ``ValueError`` if it is empty, not 1-D, or not of
-    integers that fit int64 (a float or a bool array is refused, never cast)."""
+def validate_sequence(seq: Sequence[int]) -> np.ndarray:
+    """seq as an int64 array (seq itself if it is one; an empty list gives an
+    empty one), else ``ValueError``: not 1-D, or not of integers that fit
+    int64 (a float or bool array is refused, never cast)."""
     a = np.asarray(seq)
     if a.ndim != 1:
-        raise ValueError(f"{kind} must be a flat sequence, not a {a.ndim}-D array")
-    if len(a) == 0:
-        raise ValueError(f"empty {kind}")
-    if a.dtype.kind not in "iu" or a.dtype == np.uint64 and a.max() >= np.uint64(1 << 63):
-        raise ValueError(f"{kind} entries must be integers that fit int64, not {a.dtype}")
+        raise ValueError(f"expected a flat sequence, not a {a.ndim}-D array")
+    if not len(a) and not isinstance(seq, np.ndarray):
+        return a.astype(np.int64)  # an empty list reads as float64
+    if a.dtype.kind not in "iu" or a.dtype == np.uint64 and (a >= np.uint64(1 << 63)).any():
+        raise ValueError(f"sequence entries must be integers that fit int64, not {a.dtype}")
     return a.astype(np.int64, copy=False)
 
 
 def validate_permutation(word: Sequence[int]) -> np.ndarray:
     """word as an int64 array if it holds 1..n once each, else ``ValueError``."""
-    a = _int64_array(word, "permutation")
+    a = validate_sequence(word)
+    if not len(a):
+        raise ValueError("empty permutation")
     if not np.array_equal(np.sort(a), np.arange(1, len(a) + 1)):
         raise ValueError(f"{tuple(a.tolist())} is not a permutation of 1..{len(a)}")
     return a
 
 
 def validate_inversion_sequence(x: Sequence[int]) -> np.ndarray:
-    """x as an int64 array (x itself if it is one) if 0 <= x_i <= i-1 for
-    every i, checked in one vectorized pass, else ``ValueError``."""
-    a = _int64_array(x, "inversion sequence")
+    """x as an int64 array (x itself if it is one) if it is not empty and
+    0 <= x_i <= i-1 for every i, checked in one vectorized pass, else ``ValueError``."""
+    a = validate_sequence(x)
+    if not len(a):
+        raise ValueError("empty inversion sequence")
     # as unsigned, a negative x_i is above every bound i-1 as well
     bad = a.view(np.uint64) > np.arange(len(a), dtype=np.uint64)
     if bad.any():
@@ -94,8 +99,9 @@ def permutation_from_inversion_sequence(x: Sequence[int]) -> tuple[int, ...]:
 
 
 def reflect_sequence(x: Sequence[int]) -> list[int]:
-    """The involution x_i -> (i-1) - x_i; maps sum m to C(n,2) - m."""
-    return [i - v for i, v in enumerate(x)]
+    """The involution x_i -> (i-1) - x_i of inversion sequences; maps sum m to C(n,2) - m."""
+    a = validate_inversion_sequence(x)
+    return (np.arange(len(a)) - a).tolist()
 
 
 def enumerate_inversion_sequences(n: int, m: int) -> list[tuple[int, ...]]:
@@ -166,7 +172,7 @@ def decomposition_points(seq: Sequence[int]) -> list[int]:
     >>> decomposition_points([0, 0, 2, 0, 1, 2, 0, 1, 4])
     [3]
     """
-    a = np.asarray(seq, dtype=np.int64)
+    a = validate_sequence(seq)
     n = len(a)
     if n > _CHUNK:
         cuts = _cuts_among_zeros(a)
@@ -271,18 +277,12 @@ def psi(perm: Sequence[int]) -> tuple[int, ...]:
     x = inversion_sequence(perm)
     cuts = (0, *decomposition_points(x), len(x))
     segments = [x[a:b] for a, b in zip(cuts, cuts[1:])]
-    rebuilt: list[int] = []
-    for seg in reversed(segments):
-        rebuilt.extend(seg)
-    return permutation_from_inversion_sequence(rebuilt)
+    return permutation_from_inversion_sequence([v for seg in reversed(segments) for v in seg])
 
 
 def parse_one_line(text: str) -> tuple[int, ...]:
-    """Parse comma- or whitespace-separated one-line notation."""
-    items = text.replace(",", " ").split()
-    word = tuple(int(t) for t in items)
-    validate_permutation(word)
-    return word
+    """Comma- or whitespace-separated integers; the function they go to checks them."""
+    return tuple(int(t) for t in text.replace(",", " ").split())
 
 
 def format_one_line(perm: Iterable[int]) -> str:

@@ -38,6 +38,7 @@ from invperm.experiments import (
     _ks_distance,
     _ks_upper_bound,
     tv_distance,
+    tv_to_law,
 )
 from invperm.limits import alpha_for_mu, threshold_params
 from invperm.permutations import decomposition_points, enumerate_inversion_sequences
@@ -156,6 +157,17 @@ def test_tv_distance_errors():
         tv_distance({0: 10}, 0.0)
     with pytest.raises(ValueError):
         tv_distance([], 1.0)
+
+
+@pytest.mark.parametrize("hist", [{0.5: 3, 1: 2}, {1.5: 3}], ids=["half-and-int", "half"])
+def test_tv_refuses_a_histogram_with_a_non_integer_key(hist):
+    """A key that is not an integer is refused, never cast: {0.5: 3, 1: 2}
+    gave a distance of 0.264 to Poisson(1), reading 0.5 as 0, and {1.5: 3}
+    a ``TypeError``."""
+    with pytest.raises(ValueError, match="integers"):
+        tv_distance(hist, 1.0)
+    with pytest.raises(ValueError, match="integers"):
+        tv_to_law(hist, [0.5, 0.5])
 
 
 def test_judge_against_a_hand_counted_law():

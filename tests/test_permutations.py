@@ -19,8 +19,10 @@ from invperm.permutations import (
     permutation_from_inversion_sequence,
     permutation_graph_edges,
     psi,
+    reflect_sequence,
     validate_inversion_sequence,
 )
+from invperm.limits import marked_points
 from invperm.rng import SamplerContext
 from invperm.sampling import SplitSampler, sample_inversion_sequence
 
@@ -226,6 +228,14 @@ def test_decomposition_points_match_one_pass_at_census_size():
     assert len(expected) > 40_000
 
 
+def test_decomposition_points_of_an_empty_sequence_are_none():
+    """An empty list reads as float64 under numpy, yet is a sequence of no
+    integers: it has no points, as an empty int64 array has none."""
+    assert decomposition_points([]) == []
+    assert decomposition_points(()) == []
+    assert decomposition_points(np.zeros(0, dtype=np.int64)) == []
+
+
 def decomposition_points_by_definition(seq):
     """The brute definition, one vectorised comparison per position."""
     a = np.asarray(seq)
@@ -378,6 +388,10 @@ def test_psi_involution_and_invariants(seed, n):
     assert blocks(image).sizes == tuple(reversed(blocks(perm).sizes))
 
 
+def marked_points_nu1(y):
+    return marked_points(y, 1)
+
+
 SEQUENCE_FUNCTIONS = (
     validate_inversion_sequence,
     permutation_from_inversion_sequence,
@@ -387,6 +401,9 @@ SEQUENCE_FUNCTIONS = (
     is_indecomposable,
     psi,
     permutation_graph_edges,
+    decomposition_points,
+    reflect_sequence,
+    marked_points_nu1,
 )
 NUMPY_DTYPES = (
     "int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64",
@@ -459,18 +476,29 @@ def test_sequence_inputs_give_the_int_list_answer_or_value_error(drawn):
         (permutation_from_inversion_sequence, [], "empty inversion sequence"),
         (blocks_from_inversion_sequence, np.zeros((2, 2), dtype=np.int64), "flat sequence"),
         *((fn, (1, 2.0), "integers") for fn in (inversion_sequence, blocks, psi, is_indecomposable, permutation_graph_edges)),
+        (decomposition_points, [0, 1.5, 0.5], "integers"),
+        (decomposition_points, np.zeros((2, 2), dtype=int), "flat sequence"),
+        (decomposition_points, np.zeros(0), "integers"),
+        (decomposition_points, np.array(0), "flat sequence"),
+        (lambda y: marked_points(y, 2), [0.0, 0.5, 0.5, 1.5, 0.2, 0.9, 0.1, 0.7, 0.3, 0.0], "integers"),
+        (reflect_sequence, [0, 0.5], "integers"),
+        (reflect_sequence, np.zeros((2, 2), dtype=int), "flat sequence"),
     ],
     ids=[
         "blocks-half", "bijection-half", "bijection-integral-float", "blocks-2**70",
         "blocks-uint64-2**63", "bijection-empty", "blocks-2d",
         "inversion_sequence-float", "blocks-float", "psi-float", "is_indecomposable-float",
-        "graph_edges-float",
+        "graph_edges-float", "decomposition-float", "decomposition-2d", "decomposition-empty-float",
+        "decomposition-0d", "marked-float", "reflect-half", "reflect-2d",
     ],
 )
 def test_malformed_sequences_are_refused_with_value_error(fn, arg, message):
     """Each was another outcome: [0, 0.5] gave boundaries (0, 1, 2) and a
     ``TypeError`` from the bijection, [0, 2**70] an ``OverflowError``, []
     the permutation (), a 2-D array an ``IndexError``, and a float entry in
-    a permutation a ``TypeError``."""
+    a permutation a ``TypeError``.  ``decomposition_points`` and
+    ``marked_points`` cast floats to int64, so [0, 1.5, 0.5] had the point
+    [2]; ``reflect_sequence([0, 0.5])`` gave [0, 0.5], and of a 2-D array a
+    list of two arrays."""
     with pytest.raises(ValueError, match=message):
         fn(arg)
